@@ -27,14 +27,15 @@ race:
 
 # bench reproduces the Figure 6 comparisons — cache on/off, proof
 # emission on/off, tracing on/off, inprocessing/portfolio ablations,
-# cube-and-conquer tail legs with the adaptive portfolio, legacy vs
-# streaming certificate formats, cold vs warm daemon runs against the
-# persistent result store — and writes the machine-readable artifacts
-# BENCH_PR2.json, BENCH_PR3.json, BENCH_PR5.json, BENCH_PR6.json,
-# BENCH_PR7.json, BENCH_PR8.json, and BENCH_PR9.json.
+# cube-and-conquer tail legs with the adaptive portfolio, cold vs warm
+# daemon runs against the persistent result store — and writes the
+# machine-readable artifacts BENCH_PR2.json, BENCH_PR3.json,
+# BENCH_PR5.json, BENCH_PR6.json, BENCH_PR8.json, and BENCH_PR9.json.
+# BENCH_PR7.json (legacy vs streaming certificates) is frozen history:
+# the legacy writers it compared are gone.
 bench:
 	go test -run '^$$' -bench 'BenchmarkFigure6' -benchtime 1x .
-	WRITE_BENCH_JSON=1 go test -timeout 60m -run 'TestBenchPR2JSON|TestBenchPR3JSON|TestBenchPR5JSON|TestBenchPR6JSON|TestBenchPR7JSON|TestBenchPR8JSON|TestBenchPR9JSON' -v .
+	WRITE_BENCH_JSON=1 go test -timeout 60m -run 'TestBenchPR2JSON|TestBenchPR3JSON|TestBenchPR5JSON|TestBenchPR6JSON|TestBenchPR8JSON|TestBenchPR9JSON' -v .
 
 benchall:
 	go test -bench=. -benchmem

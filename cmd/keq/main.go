@@ -111,8 +111,7 @@ func main() {
 		check(err)
 		check(dw.Close())
 		m := &proof.Manifest{
-			Schema: proof.SchemaStreaming, Terms: proof.TermsName,
-			TermCount: dw.Table().Len(),
+			Terms: proof.TermsName, TermCount: dw.Table().Len(),
 			Functions: []proof.ManifestRow{{
 				Name: fn.Name, Class: out.Class.String(),
 				Certified: out.Class == tv.ClassSucceeded,

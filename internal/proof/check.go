@@ -56,12 +56,13 @@ type dratCheckpoint struct {
 // lists every rejection; an error is returned only for directory-level
 // I/O failures.
 //
-// Both on-disk formats are checked: schema-1 files (per-function term
-// tables, textual DRAT) are loaded whole as before; schema-2 files
-// (global term ids into the shared TERMS.jsonl segment, binary DRAT)
-// are replayed streamingly — certificates decode value by value and the
-// trace in a single forward pass — so peak memory is bounded by the
-// shared table plus the largest single session, not the directory.
+// Artifacts are replayed streamingly — certificates decode value by
+// value, terms resolve by global id against the term segment, and each
+// binary trace replays in a single forward pass — so peak memory is
+// bounded by the term table plus the largest single session, not the
+// directory. Only SchemaStreaming artifacts are accepted: a file in the
+// retired schema-1 format (plain JSON, textual DRAT, or a schema-1
+// header) is a named rejection, never skipped.
 func CheckDir(dir string) (*CheckReport, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -177,35 +178,18 @@ func CheckDir(dir string) (*CheckReport, error) {
 			report.reject("%s: witness for %q has no certificate file", base+WitnessSuffix, wf.Function)
 			continue
 		}
-		var termAt func(int) (*term.Term, error)
-		switch wf.Schema {
-		case Schema:
-			ctx := term.NewContext()
-			terms, err := DecodeTerms(ctx, wf.Terms)
-			if err != nil {
-				report.reject("%s: witness terms: %v", wf.Function, err)
-				continue
-			}
-			termAt = func(i int) (*term.Term, error) {
-				if i < 0 || i >= len(terms) {
-					return nil, fmt.Errorf("pc index out of range")
-				}
-				return terms[i], nil
-			}
-		case SchemaStreaming:
-			loader := loaderFor(base)
-			if loader == nil {
-				report.reject("%s: schema-2 witness but no term segment (%s or %s)",
-					wf.Function, base+TermsSuffix, TermsName)
-				continue
-			}
-			termAt = loader.Term
-		default:
-			report.reject("%s: witness has unsupported schema %d", wf.Function, wf.Schema)
+		if wf.Schema != SchemaStreaming {
+			report.reject("%s: witness has %s", base+WitnessSuffix, unsupportedSchema(wf.Schema))
+			continue
+		}
+		loader := loaderFor(base)
+		if loader == nil {
+			report.reject("%s: witness but no term segment (%s or %s)",
+				wf.Function, base+TermsSuffix, TermsName)
 			continue
 		}
 		before := len(report.Rejections)
-		verifyWitness(&wf, fc, termAt, report)
+		verifyWitness(&wf, fc, loader.Term, report)
 		if len(report.Rejections) == before {
 			report.Witnesses++
 			report.Certified = append(report.Certified, wf.Function)
@@ -242,7 +226,7 @@ func loadJSON(dir, name string, v interface{}, report *CheckReport) bool {
 		report.reject("%s: %v", name, err)
 		return false
 	}
-	zr, err := maybeInflate(bytes.NewReader(raw))
+	zr, err := inflate(bytes.NewReader(raw))
 	if err != nil {
 		report.reject("%s: %v", name, err)
 		return false
@@ -261,8 +245,9 @@ func loadJSON(dir, name string, v interface{}, report *CheckReport) bool {
 
 // loadTermSegmentFile reads one term-table segment (the shared
 // TERMS.jsonl or a per-function <base>.terms.jsonl), if present.
-// Absence is not an error: schema-1 directories have no segment, and
-// most functions have no per-function one.
+// Absence is not an error here: most functions have no per-function
+// segment, and a certificate that cites a term without any segment is
+// rejected where it is decoded.
 func loadTermSegmentFile(dir, name string, report *CheckReport) *termLoader {
 	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
@@ -272,7 +257,7 @@ func loadTermSegmentFile(dir, name string, report *CheckReport) *termLoader {
 		return nil
 	}
 	defer f.Close()
-	zr, err := maybeInflate(f)
+	zr, err := inflate(f)
 	if err != nil {
 		report.reject("%s: %v", name, err)
 		return nil
@@ -299,40 +284,6 @@ func loadTermSegmentFile(dir, name string, report *CheckReport) *termLoader {
 		return nil
 	}
 	return newTermLoader(nodes)
-}
-
-// checkFunctionCerts verifies one function's certificate file plus its
-// DRAT companion and returns the per-query status map (nil when the
-// file itself is unreadable). The first JSON value carries the schema;
-// it selects the buffered (v1) or streaming (v2) decoder.
-func checkFunctionCerts(dir, base string, loader *termLoader, report *CheckReport) *fnCerts {
-	f, err := os.Open(filepath.Join(dir, base+CertsSuffix))
-	if err != nil {
-		report.reject("%s: %v", base+CertsSuffix, err)
-		return nil
-	}
-	defer f.Close()
-	zr, err := maybeInflate(f)
-	if err != nil {
-		report.reject("%s: %v", base+CertsSuffix, err)
-		return nil
-	}
-	dec := json.NewDecoder(zr)
-	var head certsHeader
-	if err := dec.Decode(&head); err != nil {
-		report.reject("%s: bad JSON: %v", base+CertsSuffix, err)
-		return nil
-	}
-	report.Functions++
-	switch head.Schema {
-	case Schema:
-		return checkFunctionCertsV1(dir, base, report)
-	case SchemaStreaming:
-		return checkFunctionCertsV2(dir, base, head.Function, dec, loader, report)
-	default:
-		report.reject("%s: unsupported schema %d", base+CertsSuffix, head.Schema)
-		return nil
-	}
 }
 
 // verifyQueryKind performs the trace-independent verification of one
@@ -422,132 +373,55 @@ func verifyQueryKind(fc *fnCerts, cs *certStatus, termOf func(*certStatus) *term
 	return false
 }
 
-// checkFunctionCertsV1 verifies a schema-1 certificate file: the whole
-// document is loaded, terms decode from its embedded table, and the
-// textual DRAT trace is parsed per session.
-func checkFunctionCertsV1(dir, base string, report *CheckReport) *fnCerts {
-	var cf CertsFile
-	if !loadJSON(dir, base+CertsSuffix, &cf, report) {
-		return nil
-	}
-	fc := &fnCerts{name: cf.Function, byID: make(map[string]*certStatus, len(cf.Queries))}
-
-	ctx := term.NewContext()
-	terms, err := DecodeTerms(ctx, cf.Terms)
-	if err != nil {
-		report.reject("%s: %v", base+CertsSuffix, err)
-		return fc
-	}
-
-	var sessions [][]ParsedStep
-	if f, err := os.Open(filepath.Join(dir, base+DratSuffix)); err == nil {
-		sessions, err = ParseSessions(f)
-		f.Close()
-		if err != nil {
-			report.reject("%s: %v", base+DratSuffix, err)
-			return fc
-		}
-	} else if !os.IsNotExist(err) {
-		report.reject("%s: %v", base+DratSuffix, err)
-		return fc
-	}
-
-	// Group the DRAT obligations per session, ordered by trace position.
-	bySess := map[int][]dratCheckpoint{}
-
-	termOf := func(cs *certStatus) *term.Term {
-		if cs.Term < 0 || cs.Term >= len(terms) {
-			report.reject("%s/%s: term index %d out of range", fc.name, cs.ID, cs.Term)
-			return nil
-		}
-		return terms[cs.Term]
-	}
-
-	for i := range cf.Queries {
-		cs := &certStatus{QueryCert: cf.Queries[i]}
-		if _, dup := fc.byID[cs.ID]; dup {
-			report.reject("%s: duplicate query id %s", fc.name, cs.ID)
-			continue
-		}
-		fc.byID[cs.ID] = cs
-		if verifyQueryKind(fc, cs, termOf, report) {
-			if cs.Sess < 0 || cs.Sess >= len(sessions) {
-				report.reject("%s/%s: session %d not in trace", fc.name, cs.ID, cs.Sess)
-				continue
-			}
-			bySess[cs.Sess] = append(bySess[cs.Sess], dratCheckpoint{pos: cs.Pos, cs: cs})
-		}
-	}
-
-	// Replay each session once, verifying learnt clauses as they appear
-	// and each query's final clause at its recorded position.
-	for si, steps := range sessions {
-		cps := bySess[si]
-		sort.SliceStable(cps, func(i, j int) bool { return cps[i].pos < cps[j].pos })
-		ck := NewSessionChecker()
-		next := 0
-		fail := func(cs *certStatus, err error) {
-			report.reject("%s/%s: %v", fc.name, cs.ID, err)
-		}
-		for i := 0; i <= len(steps); i++ {
-			for next < len(cps) && cps[next].pos == i {
-				cp := cps[next]
-				next++
-				if err := ck.CheckFinal(int32Slice(cp.cs.Final)); err != nil {
-					fail(cp.cs, err)
-					continue
-				}
-				cp.cs.verified = true
-				report.Queries++
-				report.ByKind[KindDRAT]++
-			}
-			if i == len(steps) {
-				break
-			}
-			st := steps[i]
-			report.Steps++
-			var err error
-			switch st.Op {
-			case OpInput:
-				err = ck.AddInput(st.Lits)
-			case OpLearn:
-				err = ck.AddLearnt(st.Lits)
-			case OpDelete:
-				err = ck.Delete(st.Lits)
-			}
-			if err != nil {
-				report.reject("%s: session %d step %d: %v", fc.name, si, i, err)
-				// The trace is broken from here on; obligations at later
-				// positions cannot be trusted.
-				for ; next < len(cps); next++ {
-					report.reject("%s/%s: unverifiable, trace broken at step %d", fc.name, cps[next].cs.ID, i)
-				}
-				break
-			}
-		}
-		for ; next < len(cps); next++ {
-			report.reject("%s/%s: position %d beyond end of session %d (%d steps)",
-				fc.name, cps[next].cs.ID, cps[next].pos, si, len(steps))
-		}
-	}
-	return fc
-}
-
-// v2CertValue is one JSON value of a schema-2 certs stream after the
-// header: either a query certificate or the session-metadata trailer.
-type v2CertValue struct {
+// certValue is one JSON value of a certs stream after the header:
+// either a query certificate or the session-metadata trailer.
+type certValue struct {
 	QueryCert
 	Sessions []SessionInfo `json:"sessions"`
 }
 
-// checkFunctionCertsV2 verifies a schema-2 certificate stream: query
+// unsupportedSchema words the rejection of an artifact header whose
+// schema is not SchemaStreaming.
+func unsupportedSchema(v int) string {
+	if v == 1 {
+		return errSchema1
+	}
+	return fmt.Sprintf("unsupported schema %d", v)
+}
+
+// checkFunctionCerts verifies one function's certificate stream plus its
+// DRAT companion and returns the per-query status map (nil when the file
+// itself is unreadable or not in the current schema). Query
 // certificates decode one value at a time, terms resolve against the
-// shared segment, and the binary DRAT trace replays in one forward pass.
-func checkFunctionCertsV2(dir, base, fnName string, dec *json.Decoder, loader *termLoader, report *CheckReport) *fnCerts {
-	fc := &fnCerts{name: fnName, byID: make(map[string]*certStatus)}
+// function's term segment, and the binary DRAT trace replays in one
+// forward pass.
+func checkFunctionCerts(dir, base string, loader *termLoader, report *CheckReport) *fnCerts {
+	f, err := os.Open(filepath.Join(dir, base+CertsSuffix))
+	if err != nil {
+		report.reject("%s: %v", base+CertsSuffix, err)
+		return nil
+	}
+	defer f.Close()
+	zr, err := inflate(f)
+	if err != nil {
+		report.reject("%s: %v", base+CertsSuffix, err)
+		return nil
+	}
+	dec := json.NewDecoder(zr)
+	var head certsHeader
+	if err := dec.Decode(&head); err != nil {
+		report.reject("%s: bad JSON: %v", base+CertsSuffix, err)
+		return nil
+	}
+	report.Functions++
+	if head.Schema != SchemaStreaming {
+		report.reject("%s: %s", base+CertsSuffix, unsupportedSchema(head.Schema))
+		return nil
+	}
+	fc := &fnCerts{name: head.Function, byID: make(map[string]*certStatus)}
 	termOf := func(cs *certStatus) *term.Term {
 		if loader == nil {
-			report.reject("%s/%s: schema-2 certificate but no %s segment", fc.name, cs.ID, TermsName)
+			report.reject("%s/%s: certificate cites a term but there is no %s segment", fc.name, cs.ID, TermsName)
 			return nil
 		}
 		t, err := loader.Term(cs.Term)
@@ -559,7 +433,7 @@ func checkFunctionCertsV2(dir, base, fnName string, dec *json.Decoder, loader *t
 	}
 	bySess := map[int][]dratCheckpoint{}
 	for {
-		var v v2CertValue
+		var v certValue
 		err := dec.Decode(&v)
 		if err == io.EOF {
 			break
@@ -585,15 +459,15 @@ func checkFunctionCertsV2(dir, base, fnName string, dec *json.Decoder, loader *t
 			bySess[cs.Sess] = append(bySess[cs.Sess], dratCheckpoint{pos: cs.Pos, cs: cs})
 		}
 	}
-	replayDratStreaming(dir, base, fc, bySess, report)
+	replayDrat(dir, base, fc, bySess, report)
 	return fc
 }
 
-// replayDratStreaming walks the (binary) trace once, maintaining one RUP
+// replayDrat walks the binary trace once, maintaining one RUP
 // checker per session — sessions interleave in a streaming trace — and
 // discharging each obligation when its session reaches the recorded
 // position.
-func replayDratStreaming(dir, base string, fc *fnCerts, bySess map[int][]dratCheckpoint, report *CheckReport) {
+func replayDrat(dir, base string, fc *fnCerts, bySess map[int][]dratCheckpoint, report *CheckReport) {
 	type sessState struct {
 		ck     *SessionChecker
 		cps    []dratCheckpoint
@@ -610,7 +484,11 @@ func replayDratStreaming(dir, base string, fc *fnCerts, bySess map[int][]dratChe
 		for ss.next < len(ss.cps) && ss.cps[ss.next].pos == ss.pos {
 			cp := ss.cps[ss.next]
 			ss.next++
-			if err := ss.ck.CheckFinal(int32Slice(cp.cs.Final)); err != nil {
+			final, err := int32Slice(cp.cs.Final)
+			if err == nil {
+				err = ss.ck.CheckFinal(final)
+			}
+			if err != nil {
 				report.reject("%s/%s: %v", fc.name, cp.cs.ID, err)
 				continue
 			}
@@ -679,20 +557,24 @@ func replayDratStreaming(dir, base string, fc *fnCerts, bySess map[int][]dratChe
 	}
 }
 
-func int32Slice(v []int) []int32 {
+// int32Slice narrows a final clause to DIMACS literals, refusing values
+// a silent conversion would wrap.
+func int32Slice(v []int) ([]int32, error) {
 	out := make([]int32, len(v))
 	for i, x := range v {
+		if x != int(int32(x)) {
+			return nil, fmt.Errorf("proof: final literal %d out of range", x)
+		}
 		out[i] = int32(x)
 	}
-	return out
+	return out, nil
 }
 
 // verifyWitness checks the structural well-formedness of a bisimulation
 // witness: entry and exit points present, every non-exiting point
 // explored, every cut successor covered by a pair, and every pair's
 // obligations discharged by verified certificates. termAt resolves path
-// conditions — against the witness's own table (schema 1) or the shared
-// segment (schema 2).
+// conditions against the function's term segment.
 func verifyWitness(wf *WitnessFile, fc *fnCerts, termAt func(int) (*term.Term, error), report *CheckReport) {
 	name := wf.Function
 	if wf.Mode != "equivalence" && wf.Mode != "refinement" {

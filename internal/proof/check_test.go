@@ -21,10 +21,14 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/harness"
+	"repro/internal/isel"
+	"repro/internal/llvmir"
 	"repro/internal/proof"
 	"repro/internal/tv"
+	"repro/internal/vcgen"
 )
 
 var (
@@ -32,15 +36,10 @@ var (
 	e2eDir  string
 	e2eSum  *harness.Summary
 	e2eErr  error
-
-	legacyOnce sync.Once
-	legacyDir  string
-	legacySum  *harness.Summary
-	legacyErr  error
 )
 
-// e2eConfig is the shared corpus configuration of the cached runs, so the
-// streaming and legacy directories describe the same validation work.
+// e2eConfig is the corpus configuration of the cached run; tests that
+// re-validate the corpus another way start from it too.
 func e2eConfig(dir string) harness.Config {
 	return harness.Config{
 		Profile:  corpus.GCCLike(8),
@@ -50,9 +49,9 @@ func e2eConfig(dir string) harness.Config {
 	}
 }
 
-// emitProofDir runs a small corpus once with (streaming, schema 2) proof
-// emission on and caches the directory for every test in this file.
-func emitProofDir(t *testing.T) (string, *harness.Summary) {
+// emitProofDir runs a small corpus once with proof emission on and
+// caches the directory for every test in this package.
+func emitProofDir(t testing.TB) (string, *harness.Summary) {
 	t.Helper()
 	e2eOnce.Do(func() {
 		dir, err := os.MkdirTemp("", "proofdir")
@@ -70,42 +69,17 @@ func emitProofDir(t *testing.T) (string, *harness.Summary) {
 	return e2eDir, e2eSum
 }
 
-// emitLegacyProofDir is emitProofDir with the schema-1 buffered writers
-// (the -proof-legacy ablation) over the identical corpus.
-func emitLegacyProofDir(t *testing.T) (string, *harness.Summary) {
-	t.Helper()
-	legacyOnce.Do(func() {
-		dir, err := os.MkdirTemp("", "proofdir-legacy")
-		if err != nil {
-			legacyErr = err
-			return
-		}
-		legacyDir = dir
-		cfg := e2eConfig(dir)
-		cfg.ProofLegacy = true
-		legacySum = harness.Run(cfg)
-		legacyErr = legacySum.ProofErr
-	})
-	if legacyErr != nil {
-		t.Fatal(legacyErr)
-	}
-	return legacyDir, legacySum
-}
-
 func TestMain(m *testing.M) {
 	code := m.Run()
 	if e2eDir != "" {
 		os.RemoveAll(e2eDir)
-	}
-	if legacyDir != "" {
-		os.RemoveAll(legacyDir)
 	}
 	os.Exit(code)
 }
 
 // copyProofDir clones the emitted proof directory so tamper tests can
 // mutate their own copy.
-func copyProofDir(t *testing.T, src string) string {
+func copyProofDir(t testing.TB, src string) string {
 	t.Helper()
 	dst := t.TempDir()
 	entries, err := os.ReadDir(src)
@@ -160,7 +134,7 @@ func TestEndToEndProofsVerify(t *testing.T) {
 
 // findFile returns a file in dir with the given suffix for which accept
 // (on its contents) returns true.
-func findFile(t *testing.T, dir, suffix string, accept func([]byte) bool) (string, []byte) {
+func findFile(t testing.TB, dir, suffix string, accept func([]byte) bool) (string, []byte) {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -183,9 +157,10 @@ func findFile(t *testing.T, dir, suffix string, accept func([]byte) bool) (strin
 	return "", nil
 }
 
-// inflate undoes the schema-2 compressed-JSON container ("BJSN" magic,
-// version byte, DEFLATE body); plain schema-1 bytes pass through and a
-// broken body comes back nil (predicates treat that as a non-match).
+// inflate undoes the compressed-JSON container ("BJSN" magic, version
+// byte, DEFLATE body); bytes without the magic pass through unchanged
+// and a broken body comes back nil (predicates treat that as a
+// non-match).
 func inflate(data []byte) []byte {
 	if len(data) < 5 || string(data[:4]) != "BJSN" {
 		return data
@@ -199,7 +174,7 @@ func inflate(data []byte) []byte {
 
 // deflate re-wraps tampered JSON in the container, so the checker takes
 // the same decode path it takes on untampered artifacts.
-func deflate(t *testing.T, data []byte) []byte {
+func deflate(t testing.TB, data []byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	buf.WriteString("BJSN\x01")
@@ -223,8 +198,8 @@ type dratStep struct {
 	lits []int32
 }
 
-// decodeDrat decodes a .drat file (either format) into its step list,
-// returning nil on any decode error.
+// decodeDrat decodes a binary .drat file into its step list, returning
+// nil on any decode error.
 func decodeDrat(data []byte) []dratStep {
 	var steps []dratStep
 	err := proof.WalkDrat(bytes.NewReader(data), func(sess int, op byte, lits []int32) error {
@@ -379,6 +354,83 @@ func TestUnknownContainerVersionRejected(t *testing.T) {
 	}
 }
 
+// TestSchema1Rejected pins the fail-closed rule for the retired
+// buffered format: each kind of schema-1 or plain artifact, dropped into
+// an otherwise valid directory, must be rejected by file name and
+// reason — never skipped, never accepted.
+func TestSchema1Rejected(t *testing.T) {
+	src, _ := emitProofDir(t)
+	const reason = "schema 1 is no longer supported; re-emit"
+	// The buffered writer's certs document: one plain JSON object
+	// carrying its own term table.
+	schema1Certs := func(t *testing.T, data []byte) []byte {
+		var head struct{ Function string }
+		if err := json.Unmarshal(certValues(inflate(data))[0], &head); err != nil {
+			t.Fatal(err)
+		}
+		doc, err := json.Marshal(map[string]interface{}{
+			"schema": 1, "function": head.Function,
+			"terms":   []map[string]string{{"k": "true"}},
+			"queries": []map[string]interface{}{{"id": "q0", "kind": "trivial", "result": "sat", "term": 0}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(doc, '\n')
+	}
+	for _, tc := range []struct {
+		name    string
+		file    string // artifact suffix, or a whole file name
+		rewrite func(t *testing.T, data []byte) []byte
+	}{
+		{"schema-1 certs file", proof.CertsSuffix, schema1Certs},
+		{"schema-1 header in the container", proof.CertsSuffix, func(t *testing.T, data []byte) []byte {
+			return deflate(t, schema1Certs(t, data))
+		}},
+		{"plain-JSON witness", proof.WitnessSuffix, func(t *testing.T, data []byte) []byte {
+			return inflate(data)
+		}},
+		{"plain-JSON term segment", proof.TermsName, func(t *testing.T, data []byte) []byte {
+			return inflate(data)
+		}},
+		{"text drat", proof.DratSuffix, func(t *testing.T, data []byte) []byte {
+			var buf bytes.Buffer
+			cur := -1
+			for _, s := range decodeDrat(data) {
+				if s.sess != cur {
+					fmt.Fprintf(&buf, "s %d\n", s.sess)
+					cur = s.sess
+				}
+				fmt.Fprintf(&buf, "%c", s.op)
+				for _, l := range s.lits {
+					fmt.Fprintf(&buf, " %d", l)
+				}
+				buf.WriteString(" 0\n")
+			}
+			return buf.Bytes()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := copyProofDir(t, src)
+			path, data := findFile(t, dir, tc.file, nil)
+			if err := os.WriteFile(path, tc.rewrite(t, data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			report, err := proof.CheckDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := filepath.Base(path)
+			for _, r := range report.Rejections {
+				if strings.HasPrefix(r, name+": ") && strings.Contains(r, reason) {
+					return
+				}
+			}
+			t.Fatalf("%s was not rejected as %q; rejections: %v", name, reason, report.Rejections)
+		})
+	}
+}
+
 // certValues splits a schema-2 certs file (a stream of concatenated
 // JSON values) into its raw values, or nil when the stream is malformed.
 func certValues(data []byte) []json.RawMessage {
@@ -466,49 +518,6 @@ func TestTamperedModelRejected(t *testing.T) {
 	}
 }
 
-// TestLegacyStreamingParity pins the refactor's behavioral neutrality:
-// the schema-1 buffered writers and the schema-2 streaming writers must
-// produce identical validation classes over the identical corpus, both
-// directories must verify with zero rejections, and the streaming
-// artifacts must be substantially smaller.
-func TestLegacyStreamingParity(t *testing.T) {
-	sdir, ssum := emitProofDir(t)
-	ldir, lsum := emitLegacyProofDir(t)
-
-	if len(ssum.Rows) != len(lsum.Rows) {
-		t.Fatalf("row counts differ: streaming %d, legacy %d", len(ssum.Rows), len(lsum.Rows))
-	}
-	for i := range ssum.Rows {
-		if ssum.Rows[i].Class != lsum.Rows[i].Class {
-			t.Errorf("row %d (%s): streaming %s, legacy %s",
-				i, ssum.Rows[i].Fn, ssum.Rows[i].Class, lsum.Rows[i].Class)
-		}
-	}
-
-	sreport, err := proof.CheckDir(sdir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lreport, err := proof.CheckDir(ldir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, r := range map[string]*proof.CheckReport{"streaming": sreport, "legacy": lreport} {
-		if len(r.Rejections) != 0 {
-			t.Fatalf("%s: %d rejections, first: %s", name, len(r.Rejections), r.Rejections[0])
-		}
-	}
-	if sreport.Queries != lreport.Queries || sreport.Witnesses != lreport.Witnesses {
-		t.Errorf("verified work differs: streaming %d queries/%d witnesses, legacy %d/%d",
-			sreport.Queries, sreport.Witnesses, lreport.Queries, lreport.Witnesses)
-	}
-
-	sbytes, lbytes := ssum.SMTStats.ProofBytes, lsum.SMTStats.ProofBytes
-	if sbytes >= lbytes {
-		t.Errorf("streaming artifacts (%d B) not smaller than legacy (%d B)", sbytes, lbytes)
-	}
-}
-
 // proofDirSize sums the artifact files of a proof directory — everything
 // ProofBytes accounts for, i.e. all files except the manifest.
 func proofDirSize(t *testing.T, dir string) int64 {
@@ -532,99 +541,35 @@ func proofDirSize(t *testing.T, dir string) int64 {
 }
 
 // TestProofBytesMatchesDisk pins the ProofBytes fix: the stat must count
-// bytes actually written to disk, for both emission paths.
+// bytes actually written to disk.
 func TestProofBytesMatchesDisk(t *testing.T) {
-	sdir, ssum := emitProofDir(t)
-	if got, want := ssum.SMTStats.ProofBytes, proofDirSize(t, sdir); got != want {
-		t.Errorf("streaming ProofBytes = %d, on-disk artifacts = %d", got, want)
-	}
-	ldir, lsum := emitLegacyProofDir(t)
-	if got, want := lsum.SMTStats.ProofBytes, proofDirSize(t, ldir); got != want {
-		t.Errorf("legacy ProofBytes = %d, on-disk artifacts = %d", got, want)
+	dir, sum := emitProofDir(t)
+	if got, want := sum.SMTStats.ProofBytes, proofDirSize(t, dir); got != want {
+		t.Errorf("ProofBytes = %d, on-disk artifacts = %d", got, want)
 	}
 }
 
-// TestCrossFormatDratIdentical transcodes every binary DRAT trace of the
-// streaming run into the schema-1 text format in place; RUP verification
-// must accept the directory identically — same verified queries, same
-// step counts, zero rejections — pinning that the two containers encode
-// the same proof.
-func TestCrossFormatDratIdentical(t *testing.T) {
-	src, _ := emitProofDir(t)
-	before, err := proof.CheckDir(src)
-	if err != nil {
-		t.Fatal(err)
+// TestScratchParity pins the arena's behavioral neutrality: the pooled
+// run validates every function on a per-worker scratch arena reused
+// across functions, and each row's class must equal a standalone
+// tv.Validate of the same function with zero-value checker options (no
+// scratch, no shared cache, no recorder).
+func TestScratchParity(t *testing.T) {
+	_, sum := emitProofDir(t)
+	cfg := e2eConfig("")
+	fns := corpus.Generate(cfg.Profile)
+	if len(fns) != len(sum.Rows) {
+		t.Fatalf("row counts differ: pooled %d, corpus %d", len(sum.Rows), len(fns))
 	}
-	dir := copyProofDir(t, src)
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	transcoded := 0
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name(), proof.DratSuffix) {
-			continue
-		}
-		path := filepath.Join(dir, e.Name())
-		data, err := os.ReadFile(path)
+	for i, f := range fns {
+		mod, err := llvmir.Parse(f.Src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		cur := -1
-		werr := proof.WalkDrat(bytes.NewReader(data), func(sess int, op byte, lits []int32) error {
-			if sess != cur {
-				fmt.Fprintf(&buf, "s %d\n", sess)
-				cur = sess
-			}
-			fmt.Fprintf(&buf, "%c", op)
-			for _, l := range lits {
-				fmt.Fprintf(&buf, " %d", l)
-			}
-			buf.WriteString(" 0\n")
-			return nil
-		})
-		if werr != nil {
-			t.Fatal(werr)
-		}
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		transcoded++
-	}
-	if transcoded == 0 {
-		t.Fatal("no DRAT traces to transcode")
-	}
-	after, err := proof.CheckDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(after.Rejections) != 0 {
-		t.Fatalf("transcoded text traces rejected: %s", after.Rejections[0])
-	}
-	if after.Queries != before.Queries || after.Steps != before.Steps ||
-		after.ByKind[proof.KindDRAT] != before.ByKind[proof.KindDRAT] {
-		t.Errorf("verification differs across formats: binary %d queries/%d steps/%d drat, text %d/%d/%d",
-			before.Queries, before.Steps, before.ByKind[proof.KindDRAT],
-			after.Queries, after.Steps, after.ByKind[proof.KindDRAT])
-	}
-}
-
-// TestScratchParity pins the arena refactor's behavioral neutrality:
-// validating the identical corpus with per-worker scratch reuse disabled
-// must produce the identical per-row classes.
-func TestScratchParity(t *testing.T) {
-	_, ssum := emitProofDir(t)
-	cfg := e2eConfig("")
-	cfg.DisableScratch = true
-	nsum := harness.Run(cfg)
-	if len(nsum.Rows) != len(ssum.Rows) {
-		t.Fatalf("row counts differ: scratch %d, no-scratch %d", len(ssum.Rows), len(nsum.Rows))
-	}
-	for i := range ssum.Rows {
-		if ssum.Rows[i].Class != nsum.Rows[i].Class {
-			t.Errorf("row %d (%s): scratch %s, no-scratch %s",
-				i, ssum.Rows[i].Fn, ssum.Rows[i].Class, nsum.Rows[i].Class)
+		out := tv.Validate(mod, f.Name, isel.Options{}, vcgen.Options{}, core.Options{}, cfg.Budget)
+		if out.Class != sum.Rows[i].Class {
+			t.Errorf("row %d (%s): pooled scratch %s, standalone %s",
+				i, f.Name, sum.Rows[i].Class, out.Class)
 		}
 	}
 }
@@ -725,7 +670,7 @@ func TestPerFunctionSegmentsVerify(t *testing.T) {
 
 	// Precedence: restore a shared segment that is present but empty; the
 	// per-function segments must still carry verification.
-	if err := os.WriteFile(filepath.Join(dir, proof.TermsName), nil, 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, proof.TermsName), deflate(t, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	both, err := proof.CheckDir(dir)

@@ -40,11 +40,20 @@ func NewSessionChecker() *SessionChecker {
 	return &SessionChecker{byKey: make(map[string][]int32)}
 }
 
+// maxVars bounds the variable indices a trace may use. Real sessions
+// stay far below it (the largest per-function instances of the Figure 6
+// corpus have ~64k variables); the bound keeps one corrupt literal from
+// sizing the checker's per-variable arrays to gigabytes.
+const maxVars = 1 << 22
+
 // internal literal encoding, mirroring DIMACS input: variable v (1-based
 // in DIMACS) becomes 0-based; low bit set means negated.
 func (c *SessionChecker) internLit(d int32) (int32, error) {
 	if d == 0 {
 		return 0, fmt.Errorf("proof: zero literal in clause")
+	}
+	if d > maxVars || d < -maxVars {
+		return 0, fmt.Errorf("proof: literal %d beyond the %d-variable bound", d, maxVars)
 	}
 	v := d
 	neg := int32(0)

@@ -1,6 +1,9 @@
 package proof
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // TestRUPChain verifies the basic RUP discipline: a clause implied by
 // unit propagation is accepted, an unsupported clause is rejected.
@@ -104,5 +107,23 @@ func TestDeletionDoesNotUnsoundlyKeepPropagating(t *testing.T) {
 	// With {1,2} gone, {2} is no longer RUP.
 	if err := ck.AddLearnt([]int32{2}); err == nil {
 		t.Fatal("learnt clause verified against a deleted clause")
+	}
+}
+
+// TestLiteralBeyondVarBoundRejected: a corrupt literal must be refused,
+// not allowed to size the checker's per-variable arrays (math.MinInt32
+// even negates to itself).
+func TestLiteralBeyondVarBoundRejected(t *testing.T) {
+	ck := NewSessionChecker()
+	for _, lit := range []int32{math.MinInt32, math.MaxInt32, maxVars + 1, -(maxVars + 1)} {
+		if err := ck.AddInput([]int32{1, lit}); err == nil {
+			t.Errorf("input literal %d accepted", lit)
+		}
+		if err := ck.CheckFinal([]int32{lit}); err == nil {
+			t.Errorf("final literal %d accepted", lit)
+		}
+	}
+	if err := ck.AddInput([]int32{maxVars, -maxVars}); err != nil {
+		t.Errorf("literal at the bound refused: %v", err)
 	}
 }

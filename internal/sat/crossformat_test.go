@@ -1,10 +1,10 @@
 package sat_test
 
-// Cross-format certificate check over the differential CNF suite: every
-// Unsat verdict's trace, serialized once in the schema-1 text format and
-// once in the schema-2 binary container, must RUP-verify identically —
-// the two encodings are alternative containers for the same proof, and a
-// divergence would mean one of them drops or distorts steps.
+// Container check over the differential CNF suite: every Unsat verdict's
+// trace, serialized in the binary DRAT container and walked back through
+// the checker, must RUP-verify exactly like a direct replay of the
+// in-memory proof log — the container must neither drop nor distort a
+// step.
 
 import (
 	"bytes"
@@ -15,22 +15,6 @@ import (
 	"repro/internal/proof"
 	"repro/internal/sat"
 )
-
-// encodeText serializes the proof log as a single-session schema-1 text
-// trace.
-func encodeText(log *sat.ProofLog) []byte {
-	var buf bytes.Buffer
-	buf.WriteString("s 0\n")
-	for i := 0; i < log.Len(); i++ {
-		op, lits := log.Step(i)
-		fmt.Fprintf(&buf, "%c", op)
-		for _, l := range lits {
-			fmt.Fprintf(&buf, " %d", dimacs(l))
-		}
-		buf.WriteString(" 0\n")
-	}
-	return buf.Bytes()
-}
 
 // encodeBinary serializes the proof log as a single-session binary
 // container.
@@ -54,25 +38,46 @@ func encodeBinary(t *testing.T, log *sat.ProofLog) []byte {
 	return buf.Bytes()
 }
 
+// replayStep feeds one trace step into a RUP checker.
+func replayStep(ck *proof.SessionChecker, op byte, lits []int32) error {
+	switch op {
+	case sat.OpInput:
+		return ck.AddInput(lits)
+	case sat.OpLearn:
+		return ck.AddLearnt(lits)
+	case sat.OpDelete:
+		return ck.Delete(lits)
+	}
+	return fmt.Errorf("unknown opcode %q", op)
+}
+
 // replayEncoded walks an encoded trace through a fresh RUP checker and
 // returns the step count and the final empty-clause verdict.
-func replayEncoded(t *testing.T, data []byte) (steps int, err error) {
-	t.Helper()
+func replayEncoded(data []byte) (steps int, err error) {
 	ck := proof.NewSessionChecker()
 	werr := proof.WalkDrat(bytes.NewReader(data), func(sess int, op byte, lits []int32) error {
 		steps++
-		switch op {
-		case sat.OpInput:
-			return ck.AddInput(lits)
-		case sat.OpLearn:
-			return ck.AddLearnt(lits)
-		case sat.OpDelete:
-			return ck.Delete(lits)
-		}
-		return fmt.Errorf("unknown opcode %q", op)
+		return replayStep(ck, op, lits)
 	})
 	if werr != nil {
 		return steps, werr
+	}
+	return steps, ck.CheckFinal(nil)
+}
+
+// replayLog replays the in-memory proof log directly, with no container
+// in between.
+func replayLog(log *sat.ProofLog) (steps int, err error) {
+	ck := proof.NewSessionChecker()
+	for ; steps < log.Len(); steps++ {
+		op, lits := log.Step(steps)
+		d := make([]int32, len(lits))
+		for j, l := range lits {
+			d[j] = dimacs(l)
+		}
+		if err := replayStep(ck, op, d); err != nil {
+			return steps + 1, err
+		}
 	}
 	return steps, ck.CheckFinal(nil)
 }
@@ -88,19 +93,17 @@ func TestDifferentialCrossFormatDrat(t *testing.T) {
 			continue
 		}
 		unsat++
-		text := encodeText(s.Proof)
-		bin := encodeBinary(t, s.Proof)
-		tSteps, tErr := replayEncoded(t, text)
-		bSteps, bErr := replayEncoded(t, bin)
-		if (tErr == nil) != (bErr == nil) {
-			t.Fatalf("iter %d: formats disagree: text err=%v, binary err=%v\ncnf: %v",
-				iter, tErr, bErr, clauses)
+		dSteps, dErr := replayLog(s.Proof)
+		bSteps, bErr := replayEncoded(encodeBinary(t, s.Proof))
+		if (dErr == nil) != (bErr == nil) {
+			t.Fatalf("iter %d: container disagrees with direct replay: direct err=%v, binary err=%v\ncnf: %v",
+				iter, dErr, bErr, clauses)
 		}
-		if tErr != nil {
-			t.Fatalf("iter %d: refutation did not verify: %v\ncnf: %v", iter, tErr, clauses)
+		if dErr != nil {
+			t.Fatalf("iter %d: refutation did not verify: %v\ncnf: %v", iter, dErr, clauses)
 		}
-		if tSteps != bSteps {
-			t.Fatalf("iter %d: text replayed %d steps, binary %d", iter, tSteps, bSteps)
+		if dSteps != bSteps {
+			t.Fatalf("iter %d: direct replay took %d steps, binary %d", iter, dSteps, bSteps)
 		}
 	}
 	if unsat < 20 {

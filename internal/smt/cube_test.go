@@ -115,7 +115,12 @@ func TestCubeCertsVerify(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
 			ctx := NewContext()
-			rec := proof.NewRecorder(fmt.Sprintf("cube-inc-%v", incremental))
+			name := fmt.Sprintf("cube-inc-%v", incremental)
+			dw, err := proof.NewFunctionDirWriter(t.TempDir(), name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := dw.NewRecorder(name)
 			s := NewSolver(ctx)
 			s.Recorder = rec
 			s.Portfolio = drainedPortfolio()
@@ -150,11 +155,13 @@ func TestCubeCertsVerify(t *testing.T) {
 				s.Stats.CubeEscalations, s.Stats.CubesGenerated,
 				s.Stats.CubesRefuted, s.Stats.CubesSat)
 
-			dir := t.TempDir()
-			if _, err := proof.WriteCerts(dir, rec); err != nil {
+			if _, err := rec.Close(false); err != nil {
 				t.Fatal(err)
 			}
-			report, err := proof.CheckDir(dir)
+			if err := dw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			report, err := proof.CheckDir(dw.Dir())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +181,13 @@ func TestCubeCertsVerify(t *testing.T) {
 // interleaving, and its composed certificate must replay.
 func TestSolveCubedWorkStealing(t *testing.T) {
 	ctx := NewContext()
-	rec := proof.NewRecorder("cube-steal")
+	dw, err := proof.NewFunctionDirWriter(t.TempDir(), "cube-steal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dw.Close()
+	rec := dw.NewRecorder("cube-steal")
+	defer rec.Close(false)
 	s := NewSolver(ctx)
 	s.Recorder = rec
 	pf := NewPortfolio(3)

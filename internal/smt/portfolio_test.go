@@ -96,7 +96,12 @@ func TestPortfolioCertsVerify(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
 			ctx := NewContext()
-			rec := proof.NewRecorder(fmt.Sprintf("portfolio-inc-%v", incremental))
+			name := fmt.Sprintf("portfolio-inc-%v", incremental)
+			dw, err := proof.NewFunctionDirWriter(t.TempDir(), name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := dw.NewRecorder(name)
 			pf := NewPortfolio(3)
 			pf.After = 1
 			s := NewSolver(ctx)
@@ -128,11 +133,13 @@ func TestPortfolioCertsVerify(t *testing.T) {
 			}
 			t.Logf("races=%d racer wins=%d", s.Stats.Races, s.Stats.RaceRacerWins)
 
-			dir := t.TempDir()
-			if _, err := proof.WriteCerts(dir, rec); err != nil {
+			if _, err := rec.Close(false); err != nil {
 				t.Fatal(err)
 			}
-			report, err := proof.CheckDir(dir)
+			if err := dw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			report, err := proof.CheckDir(dw.Dir())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -92,8 +92,10 @@ type Server struct {
 	tenants  map[string]int
 
 	// active counts in-flight HTTP batch requests so Close can wait for
-	// them after the listener stops accepting.
-	active sync.WaitGroup
+	// them after the listener stops accepting. drainMu orders its Adds
+	// against the drain flag (see handleValidate).
+	active  sync.WaitGroup
+	drainMu sync.Mutex
 }
 
 // NewServer opens the store (if configured), starts the pool, and
@@ -185,7 +187,11 @@ func (s *Server) MaxBatch() int {
 // BeginDrain flips the daemon into draining mode: /healthz turns 503
 // (load balancers stop routing here) and new batches are refused with
 // 503. Already-admitted batches keep running.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
+func (s *Server) BeginDrain() {
+	s.drainMu.Lock()
+	s.draining.Store(true)
+	s.drainMu.Unlock()
+}
 
 // Close drains gracefully: no new batches, every admitted job finishes
 // (and lands in the store), the store-lifecycle goroutines (periodic GC
@@ -329,18 +335,22 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, 0, "POST only")
 		return
 	}
-	// Register with the in-flight group BEFORE checking the drain flag:
-	// Close sets the flag and then waits on the group, so a batch that
-	// registered first is waited for, and a batch that registered after
-	// the flag flipped sees it here and refuses. Checking before Add
-	// left a window where Close's active.Wait() could return while a
-	// batch between the check and the Add proceeded into a closed pool.
-	s.active.Add(1)
-	defer s.active.Done()
-	if s.draining.Load() {
+	// Check the drain flag and register with the in-flight group as one
+	// step under drainMu: a batch either registers before Close flips the
+	// flag (and Close waits for it) or sees the flag and is refused. With
+	// the two apart, a batch could slip between them into a closed pool,
+	// or its Add could race Close's Wait, which WaitGroup forbids.
+	s.drainMu.Lock()
+	draining := s.draining.Load()
+	if !draining {
+		s.active.Add(1)
+	}
+	s.drainMu.Unlock()
+	if draining {
 		httpError(w, http.StatusServiceUnavailable, 0, "draining")
 		return
 	}
+	defer s.active.Done()
 
 	var req BatchRequest
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
