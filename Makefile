@@ -1,9 +1,12 @@
-# Tier-1 verification: build + full test suite, static analysis, gofmt
-# cleanliness, and the race detector over the concurrent packages (the
-# harness worker pool and the tv pipeline it drives).
-.PHONY: tier1 build test vet fmtcheck race bench benchall
+# Tier-1 verification: build + full test suite, static analysis (of the
+# benchmark module too, which the root `go test ./...` never compiles, so
+# a change deleting something the benchmark reads fails here rather than
+# at benchmark time), gofmt cleanliness, and the race detector over the
+# concurrent packages (the harness worker pool and the tv pipeline it
+# drives).
+.PHONY: tier1 build test vet benchvet fmtcheck race bench benchall
 
-tier1: build test vet fmtcheck race
+tier1: build test vet benchvet fmtcheck race
 
 build:
 	go build ./...
@@ -14,12 +17,15 @@ test:
 vet:
 	go vet ./...
 
+benchvet:
+	cd benchmark && go vet ./...
+
 fmtcheck:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt: the following files need formatting:" >&2; \
 		echo "$$out" >&2; exit 1; fi
 
-# The harness portfolio/proof tests are CPU-bound and can exceed go
+# The harness escalation-ladder/proof tests are CPU-bound and can exceed go
 # test's default 10m package timeout under -race on small machines;
 # the raised timeout does not mask races, which fail immediately.
 race:
@@ -27,7 +33,7 @@ race:
 
 # bench reproduces the Figure 6 comparisons — cache on/off, proof
 # emission on/off, tracing on/off, inprocessing/portfolio ablations,
-# cube-and-conquer tail legs with the adaptive portfolio, cold vs warm
+# cube-and-conquer tail legs with the escalation ladder on/off, cold vs warm
 # daemon runs against the persistent result store — and writes the
 # machine-readable artifacts BENCH_PR2.json, BENCH_PR3.json,
 # BENCH_PR5.json, BENCH_PR6.json, BENCH_PR8.json, and BENCH_PR9.json.

@@ -870,8 +870,6 @@ func TestBenchPR6JSON(t *testing.T) {
 		Strengthened int64          `json:"strengthened_clauses,omitempty"`
 		Vivified     int64          `json:"vivified_clauses,omitempty"`
 		Eliminated   int64          `json:"eliminated_vars,omitempty"`
-		Races        int64          `json:"races,omitempty"`
-		RacerWins    int64          `json:"racer_wins,omitempty"`
 		TailSMTCount int64          `json:"tail_smt_count"`
 		TailSMTSecs  float64        `json:"tail_smt_seconds"`
 	}
@@ -891,8 +889,6 @@ func TestBenchPR6JSON(t *testing.T) {
 			Strengthened: sum.SMTStats.StrengthenedClauses,
 			Vivified:     sum.SMTStats.VivifiedClauses,
 			Eliminated:   sum.SMTStats.EliminatedVars,
-			Races:        sum.SMTStats.Races,
-			RacerWins:    sum.SMTStats.RaceRacerWins,
 			TailSMTCount: tail.Count,
 			TailSMTSecs:  time.Duration(tail.Sum).Seconds(),
 		}
@@ -969,7 +965,9 @@ func TestBenchPR6JSON(t *testing.T) {
 //     adaptive wall must come back down to the no-portfolio leg's,
 //     with a timeout-count backstop against gross regressions;
 //   - tight_budget_cube_off vs tight_budget_cube_on: the 2s budget that
-//     manufactures the Timeout tail. The cube leg must escalate, must
+//     manufactures the Timeout tail. The cube-off leg disables the
+//     portfolio, the one switch that turns the escalation ladder (and so
+//     cubing) off. The cube leg must escalate, must
 //     decide queries by cubing (cube_unsat_wins + cubes_sat > 0), and
 //     must not grow the tail. Function-level counts are gated for
 //     non-regression rather than strict decrease: the 2s tail on this
@@ -992,9 +990,6 @@ func TestBenchPR9JSON(t *testing.T) {
 		WallSeconds     float64        `json:"wall_seconds"`
 		CPUSeconds      float64        `json:"cpu_seconds"`
 		Counts          map[string]int `json:"class_counts"`
-		Races           int64          `json:"races,omitempty"`
-		RacerWins       int64          `json:"racer_wins,omitempty"`
-		WastedConflicts int64          `json:"race_wasted_conflicts,omitempty"`
 		CubeEscalations int64          `json:"cube_escalations,omitempty"`
 		CubesGenerated  int64          `json:"cubes_generated,omitempty"`
 		CubesRefuted    int64          `json:"cubes_refuted,omitempty"`
@@ -1007,10 +1002,9 @@ func TestBenchPR9JSON(t *testing.T) {
 		Rejections      int            `json:"proofcheck_rejections,omitempty"`
 		Certificates    int64          `json:"certificates,omitempty"`
 	}
-	measure := func(budget tv.Budget, noPortfolio, noCube bool, proofDir string) configResult {
+	measure := func(budget tv.Budget, noPortfolio bool, proofDir string) configResult {
 		cfg := figure6Config(workers, true)
 		cfg.Budget = budget
-		cfg.Checker = core.Options{DisableCube: noCube}
 		cfg.DisablePortfolio = noPortfolio
 		cfg.ProofDir = proofDir
 		start := time.Now()
@@ -1023,9 +1017,6 @@ func TestBenchPR9JSON(t *testing.T) {
 			WallSeconds:     time.Since(start).Seconds(),
 			CPUSeconds:      sum.CPUTime.Seconds(),
 			Counts:          sum.ClassCounts(),
-			Races:           sum.SMTStats.Races,
-			RacerWins:       sum.SMTStats.RaceRacerWins,
-			WastedConflicts: sum.SMTStats.RaceWastedConflicts,
 			CubeEscalations: sum.SMTStats.CubeEscalations,
 			CubesGenerated:  sum.SMTStats.CubesGenerated,
 			CubesRefuted:    sum.SMTStats.CubesRefuted,
@@ -1039,7 +1030,7 @@ func TestBenchPR9JSON(t *testing.T) {
 	}
 
 	// Deterministic leg: verdict parity under the full stack.
-	untimed := measure(fig6ParallelBudget, false, false, "")
+	untimed := measure(fig6ParallelBudget, false, "")
 	if got, base := fmt.Sprint(untimed.Counts), fig6BaselineCounts(); got != base {
 		t.Errorf("untimed full-stack class counts diverged from the serial baseline:\n got %s\nwant %s", got, base)
 	}
@@ -1047,8 +1038,8 @@ func TestBenchPR9JSON(t *testing.T) {
 	// Generous-budget legs: the adaptive gate must stop the portfolio
 	// from costing wall time.
 	defaultBudget := tv.Budget{Timeout: 20 * time.Second, MaxTermNodes: fig6ParallelBudget.MaxTermNodes}
-	adaptive := measure(defaultBudget, false, false, "")
-	noPf := measure(defaultBudget, true, false, "")
+	adaptive := measure(defaultBudget, false, "")
+	noPf := measure(defaultBudget, true, "")
 	// The wall comparison is the gate that matters (PR 6's race-always
 	// stack was 3.7s slower here); the timeout-count backstop only
 	// catches gross regressions, because at 20s the 3-5 tail functions
@@ -1071,8 +1062,8 @@ func TestBenchPR9JSON(t *testing.T) {
 	tight := tv.Budget{Timeout: 2 * time.Second, MaxTermNodes: fig6ParallelBudget.MaxTermNodes}
 	var offRuns, onRuns []configResult
 	for i := 0; i < 3; i++ {
-		offRuns = append(offRuns, measure(tight, false, true, ""))
-		onRuns = append(onRuns, measure(tight, false, false, ""))
+		offRuns = append(offRuns, measure(tight, true, ""))
+		onRuns = append(onRuns, measure(tight, false, ""))
 	}
 	tailMedian := func(rs []configResult) configResult {
 		sorted := append([]configResult(nil), rs...)
@@ -1099,7 +1090,7 @@ func TestBenchPR9JSON(t *testing.T) {
 
 	// Certification leg: cube-composed certificates verify from scratch.
 	proofDir := t.TempDir()
-	tightProofs := measure(tight, false, false, proofDir)
+	tightProofs := measure(tight, false, proofDir)
 	report, err := proof.CheckDir(proofDir)
 	if err != nil {
 		t.Fatal(err)

@@ -56,14 +56,11 @@ type Options struct {
 	// backend (subsumption, vivification, bounded variable elimination;
 	// ablation — on by default, see smt.Solver.Inprocess).
 	DisableInprocess bool
-	// Portfolio, when non-nil, is the shared worker-slot pool that lets
-	// the solver race stuck queries across idle workers (see
-	// smt.Portfolio). The harness injects one pool per corpus run.
+	// Portfolio, when non-nil, turns on the solver's escalation ladder
+	// and is the shared worker-slot pool its cube-and-conquer stage
+	// steals idle workers from (see smt.Portfolio). The harness injects
+	// one pool per corpus run.
 	Portfolio *smt.Portfolio
-	// DisableCube turns off the cube-and-conquer escalation tier above
-	// portfolio racing (ablation — on by default whenever a Portfolio is
-	// attached; see smt.Solver.DisableCube).
-	DisableCube bool
 	// Proof, when non-nil, records a bisimulation witness for the run and
 	// is wired into the solver so every query emits a certificate: the
 	// sync points of P, each non-exiting point's cut successors with
@@ -112,7 +109,6 @@ func NewChecker(solver *smt.Solver, left, right Semantics, opts Options) *Checke
 	solver.DisableClauseDB = opts.DisableClauseDBReduction
 	solver.Inprocess = !opts.DisableInprocess
 	solver.Portfolio = opts.Portfolio
-	solver.DisableCube = opts.DisableCube
 	solver.Recorder = opts.Proof
 	solver.Tracer = opts.Trace
 	solver.TraceParent = opts.TraceParent

@@ -60,13 +60,15 @@ type Config struct {
 	// discharged — by any worker, in any function — is answered without
 	// solving. Ignored when Checker.VCCache is already set by the caller.
 	DisableVCCache bool
-	// DisablePortfolio turns off portfolio racing (ablation). By default
-	// Run creates one smt.Portfolio with a token per worker and attaches
-	// it to every checker: a worker holds its token while validating, so
-	// the tokens up for grabs are exactly the idle workers' — racing only
-	// ever spends capacity the run was wasting (the end-of-corpus tail,
-	// where the last stragglers hold the wall clock while the other
-	// workers sit idle). Ignored when Checker.Portfolio is already set.
+	// DisablePortfolio turns off the solver's escalation ladder (ablation):
+	// every query is solved solo, with no cube-and-conquer. By default Run
+	// creates one smt.Portfolio with a token per worker and attaches it to
+	// every checker: a worker holds its token while validating, so the
+	// tokens up for grabs are exactly the idle workers' — cube workers
+	// only ever spend capacity the run was wasting (the end-of-corpus
+	// tail, where the last stragglers hold the wall clock while the other
+	// workers sit idle), and with every slot busy a query conquers its
+	// cubes in place. Ignored when Checker.Portfolio is already set.
 	DisablePortfolio bool
 	// ProofDir, when non-empty, makes every validated function emit proof
 	// certificates into that directory: query certificates plus DRAT
@@ -436,11 +438,6 @@ func (s *Summary) RenderStats(w io.Writer) {
 		fmt.Fprintf(w, "Inprocessing: %d clauses subsumed, %d strengthened, %d vivified, %d vars eliminated\n",
 			s.SMTStats.SubsumedClauses, s.SMTStats.StrengthenedClauses,
 			s.SMTStats.VivifiedClauses, s.SMTStats.EliminatedVars)
-	}
-	if s.SMTStats.Races > 0 {
-		fmt.Fprintf(w, "Portfolio: %d races, %d racer wins, %d idle slots borrowed, %d conflicts / %d props wasted by losers\n",
-			s.SMTStats.Races, s.SMTStats.RaceRacerWins, s.SMTStats.RaceTokens,
-			s.SMTStats.RaceWastedConflicts, s.SMTStats.RaceWastedProps)
 	}
 	if s.SMTStats.CubeEscalations > 0 {
 		fmt.Fprintf(w, "Cube: %d escalations, %d cubes (%d refuted, %d sat), %d stolen-slot conquests\n",

@@ -48,7 +48,8 @@ type PoolConfig struct {
 	// caller tunes probe budgets). With DisablePortfolio unset and this
 	// nil, the pool creates one token per worker.
 	Portfolio *smt.Portfolio
-	// DisablePortfolio turns portfolio racing off (ablation).
+	// DisablePortfolio turns the solver's escalation ladder off
+	// (ablation): no slot pool, every query solved solo.
 	DisablePortfolio bool
 }
 
@@ -81,8 +82,8 @@ func NewPool(cfg PoolConfig) *Pool {
 // Workers returns the pool size.
 func (p *Pool) Workers() int { return p.workers }
 
-// Portfolio returns the racing pool shared by the workers (nil when
-// racing is disabled).
+// Portfolio returns the slot pool shared by the workers (nil when the
+// escalation ladder is disabled).
 func (p *Pool) Portfolio() *smt.Portfolio { return p.pf }
 
 // Submit enqueues j, blocking while the queue is full. It returns false

@@ -55,11 +55,11 @@ type SMTStatsJSON struct {
 	VivifiedClauses     int64 `json:"vivified_clauses,omitempty"`
 	EliminatedVars      int64 `json:"eliminated_vars,omitempty"`
 
+	// Counters of the deleted portfolio race: always 0; kept only so the
+	// benchmark module builds.
 	Races               int64 `json:"races,omitempty"`
 	RaceRacerWins       int64 `json:"race_racer_wins,omitempty"`
-	RaceTokens          int64 `json:"race_tokens,omitempty"`
 	RaceWastedConflicts int64 `json:"race_wasted_conflicts,omitempty"`
-	RaceWastedProps     int64 `json:"race_wasted_props,omitempty"`
 
 	CubeEscalations int64 `json:"cube_escalations,omitempty"`
 	CubesGenerated  int64 `json:"cubes_generated,omitempty"`
@@ -120,9 +120,7 @@ func (s *Summary) StatsJSON() *StatsJSON {
 
 			Races:               s.SMTStats.Races,
 			RaceRacerWins:       s.SMTStats.RaceRacerWins,
-			RaceTokens:          s.SMTStats.RaceTokens,
 			RaceWastedConflicts: s.SMTStats.RaceWastedConflicts,
-			RaceWastedProps:     s.SMTStats.RaceWastedProps,
 
 			CubeEscalations: s.SMTStats.CubeEscalations,
 			CubesGenerated:  s.SMTStats.CubesGenerated,

@@ -8,12 +8,13 @@ import (
 	"repro/internal/sat"
 )
 
-// Cube-and-conquer: the top of the escalation ladder (see portfolio.go).
-// A query that survives its probes and a full portfolio race is not stuck
-// on an unlucky restart schedule — it is structurally hard, so instead of
-// restarting the same search under yet another configuration the instance
-// is split: sat.BuildCubes runs a lookahead pass over a snapshot and
-// emits the leaves of a small decision tree as assumption sets, and the
+// Cube-and-conquer: the escalation stage between the solo probes and the
+// solo fallback (see portfolio.go).
+// A query that survives its solo probes past the conflict watermark is
+// not stuck on an unlucky restart schedule — it is structurally hard, so
+// instead of restarting the same search the instance is split:
+// sat.BuildCubes runs a lookahead pass over a snapshot and emits the
+// leaves of a small decision tree as assumption sets, and the
 // cubes are conquered across the query's own thread plus any idle
 // portfolio slots, drained from a shared queue (work-stealing). A Sat
 // cube decides the query instantly; refuting every cube refutes it, and
@@ -22,37 +23,36 @@ import (
 // code enters the trust base.
 
 // solveCubed splits the primary's instance and conquers the cubes.
-// budget bounds each worker's total conflicts (0 = unlimited). Returns
-// ran=false when the instance was not worth splitting — refuted by unit
-// propagation or lookahead alone, or with fewer than two live leaves —
-// in which case the caller falls back to solo search. On an
-// all-cubes-unsat verdict the returned winner is a fresh solver whose
-// Proof is the composed certificate, which the callers' racer-win
-// recording paths consume unchanged.
-func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Lit) (sat.Status, *sat.Solver, bool) {
+// budget bounds each worker's total conflicts (0 = unlimited); used
+// reports what all workers together spent, for the caller to charge
+// against the query's budget. Returns ran=false when the instance was
+// not worth splitting — refuted by unit propagation or lookahead alone,
+// or with fewer than two live leaves — in which case the caller falls
+// back to solo search. On an all-cubes-unsat verdict
+// the returned winner is a fresh solver whose Proof is the composed
+// certificate, which the callers' cube-worker recording paths consume.
+func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Lit) (st sat.Status, winner *sat.Solver, used int64, ran bool) {
 	pf := s.Portfolio
-	// As with racers, a recording run must snapshot without learnt
-	// clauses: every snapshot clause becomes a DRAT input axiom of the
-	// composed certificate, and only problem clauses and root units are
-	// granted by the certificate consumer.
+	// A recording run must snapshot without learnt clauses: every
+	// snapshot clause becomes a DRAT input axiom of the composed
+	// certificate, and only problem clauses and root units are granted by
+	// the certificate consumer.
 	nv, cnf := primary.Snapshot(s.Recorder == nil)
 	units := append([]sat.Lit(nil), assumps...)
 	buildStart := time.Now()
-	cs := sat.BuildCubes(nv, cnf, units, sat.CubeOptions{MaxVars: pf.cubeVars()})
+	cs := sat.BuildCubes(nv, cnf, units, sat.CubeOptions{MaxVars: cubeVars})
 	s.Metrics.Add("cube.build.ms", time.Since(buildStart).Milliseconds())
 	if cs == nil {
 		s.Metrics.Add("cube.nosplit", 1)
-		return sat.Unknown, primary, false
+		return sat.Unknown, primary, 0, false
 	}
 	s.Stats.CubeEscalations++
 	s.Stats.CubesGenerated += int64(len(cs.Cubes))
-	s.Metrics.Add("cube.escalation", 1)
-	s.Metrics.Add("cube.generated", int64(len(cs.Cubes)))
 
 	// The query's own thread always conquers; idle portfolio slots are
 	// stolen for extra workers, never more than there are cubes to share.
 	stolen := 0
-	for stolen+1 < len(cs.Cubes) && stolen < pf.maxRacers() && pf.TryAcquire() {
+	for stolen+1 < len(cs.Cubes) && stolen < maxSteals && pf.TryAcquire() {
 		stolen++
 	}
 	if stolen == 0 {
@@ -66,7 +66,9 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 		// incremental sessions — every later query. On an all-cubes-unsat
 		// verdict the collapse clauses end at the query's ordinary final
 		// obligation, so the unchanged primary-win recording path applies.
-		return s.conquerInPlace(primary, cs, budget, assumps)
+		before := primary.Conflicts
+		st, winner = s.conquerInPlace(primary, cs, budget, assumps)
+		return st, winner, primary.Conflicts - before, true
 	}
 	workers := stolen + 1
 
@@ -96,9 +98,9 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 			r.sat = -1
 			solver := sat.New()
 			solver.LBD = true
-			// Like racers, cube workers never inprocess: the snapshot
-			// already carries the primary's simplification, and a cube's
-			// edge is the shrunken search space, not rediscovered rewrites.
+			// Cube workers never inprocess: the snapshot already carries
+			// the primary's simplification, and a cube's edge is the
+			// shrunken search space, not rediscovered rewrites.
 			solver.SeedShuffle = sat.Splitmix64(0xcb0e5eed + uint64(w))
 			solver.Deadline = primary.Deadline
 			solver.Cancel = cancel
@@ -173,11 +175,11 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 	var satWinner *sat.Solver
 	for w := range results {
 		r := &results[w]
-		// Cube workers do the verdict's real search, so their spend is
-		// solver work, not portfolio waste — the callers only aggregate
-		// the primary's counters, so fold the workers' in here.
+		// Cube workers do the verdict's real search, but the callers only
+		// aggregate the primary's counters, so fold the workers' in here.
 		s.Stats.SATConflicts += r.solver.Conflicts
 		s.Stats.SATDecisions += r.solver.Decisions
+		used += r.solver.Conflicts
 		refuted += r.refuted
 		if w > 0 {
 			steals += r.drained
@@ -191,18 +193,15 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 	}
 	s.Stats.CubesRefuted += int64(refuted)
 	s.Stats.CubeSteals += int64(steals)
-	s.Metrics.Add("cube.refuted", int64(refuted))
-	s.Metrics.Add("cube.steal", int64(steals))
 
 	if satWinner != nil {
 		s.Stats.CubesSat++
-		s.Metrics.Add("cube.sat", 1)
-		return sat.Sat, satWinner, true
+		return sat.Sat, satWinner, used, true
 	}
 	if !unknown && refuted == len(cs.Cubes) {
 		// All cubes refuted: the instance is unsat. Hand back a fresh
-		// solver carrying only the composed certificate, so the callers'
-		// existing racer-win recording paths flush it unchanged.
+		// solver carrying only the composed certificate, which the
+		// callers' cube-worker recording paths flush.
 		win := sat.New()
 		if s.Recorder != nil {
 			traces := make([]sat.CubeTrace, 0, workers)
@@ -214,10 +213,10 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 			win.Proof = sat.ComposeCubeProof(cnf, units, traces, cs.Internal)
 		}
 		s.Metrics.Add("cube.unsat", 1)
-		return sat.Unsat, win, true
+		return sat.Unsat, win, used, true
 	}
 	s.Metrics.Add("cube.unknown", 1)
-	return sat.Unknown, primary, true
+	return sat.Unknown, primary, used, true
 }
 
 // conquerInPlace drains every cube on the primary solver itself: cube i is
@@ -228,7 +227,7 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 // When all cubes are refuted the internal tree nodes collapse the same
 // way down to ¬assumps (the empty clause for a one-shot query), which is
 // exactly the final obligation the caller's recording path checks.
-func (s *Solver) conquerInPlace(primary *sat.Solver, cs *sat.CubeSet, budget int64, assumps []sat.Lit) (sat.Status, *sat.Solver, bool) {
+func (s *Solver) conquerInPlace(primary *sat.Solver, cs *sat.CubeSet, budget int64, assumps []sat.Lit) (sat.Status, *sat.Solver) {
 	userBudget := primary.ConflictBudget
 	defer func() { primary.ConflictBudget = userBudget }()
 
@@ -273,9 +272,7 @@ func (s *Solver) conquerInPlace(primary *sat.Solver, cs *sat.CubeSet, budget int
 		if st == sat.Sat {
 			s.Stats.CubesRefuted += int64(refuted)
 			s.Stats.CubesSat++
-			s.Metrics.Add("cube.refuted", int64(refuted))
-			s.Metrics.Add("cube.sat", 1)
-			return sat.Sat, primary, true
+			return sat.Sat, primary
 		}
 		if st != sat.Unsat {
 			unknown = true
@@ -285,15 +282,14 @@ func (s *Solver) conquerInPlace(primary *sat.Solver, cs *sat.CubeSet, budget int
 		primary.LearnClause(negation(cube)...)
 	}
 	s.Stats.CubesRefuted += int64(refuted)
-	s.Metrics.Add("cube.refuted", int64(refuted))
 	if !unknown && refuted == len(cs.Cubes) {
 		for _, p := range cs.Internal {
 			primary.LearnClause(negation(p)...)
 		}
 		primary.LearnClause(negation(nil)...)
 		s.Metrics.Add("cube.unsat", 1)
-		return sat.Unsat, primary, true
+		return sat.Unsat, primary
 	}
 	s.Metrics.Add("cube.unknown", 1)
-	return sat.Unknown, primary, true
+	return sat.Unknown, primary
 }

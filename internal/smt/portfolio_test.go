@@ -13,7 +13,7 @@ import (
 // distinctUnder builds the pigeonhole-flavored constraint "n distinct
 // values, each below bound". Unsat iff n > bound, and resolution-hard
 // enough near the boundary to guarantee real CDCL conflicts — which is
-// what forces a portfolio race when After is tiny.
+// what forces an escalation when After and CubeAfter are tiny.
 func distinctUnder(ctx *Context, tag string, n int, width uint8, bound uint64) *Term {
 	vars := make([]*Term, n)
 	form := ctx.True()
@@ -29,20 +29,23 @@ func distinctUnder(ctx *Context, tag string, n int, width uint8, bound uint64) *
 	return form
 }
 
-// TestPortfolioMatchesPlain: a solver racing every query that survives a
-// one-conflict probe must return exactly the verdicts of a plain solver,
-// on both the one-shot and the incremental paths. This is the row-parity
-// guarantee the harness relies on when it lends idle worker slots.
+// TestPortfolioMatchesPlain: a solver escalating every query that
+// survives a one-conflict probe to cube-and-conquer, with idle slots to
+// steal for cube workers, must return exactly the verdicts of a plain
+// solver, on both the one-shot and the incremental paths. This is the
+// row-parity guarantee the harness relies on when it lends idle worker
+// slots.
 func TestPortfolioMatchesPlain(t *testing.T) {
-	var races int64
+	var escalations int64
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ctx := NewContext()
 		pf := NewPortfolio(3)
-		pf.After = 1 // race everything non-trivial
-		raced := NewSolver(ctx)
-		raced.Portfolio = pf
-		raced.Inprocess = true
+		pf.After = 1 // escalate everything non-trivial
+		pf.CubeAfter = 1
+		laddered := NewSolver(ctx)
+		laddered.Portfolio = pf
+		laddered.Inprocess = true
 		inc := NewSolver(ctx)
 		inc.Incremental = true
 		inc.Portfolio = pf
@@ -63,35 +66,35 @@ func TestPortfolioMatchesPlain(t *testing.T) {
 		for q, form := range queries {
 			cold := NewSolver(ctx)
 			want, _, errCold := cold.CheckSat(form)
-			got, _, errRaced := raced.CheckSat(form)
+			got, _, errLaddered := laddered.CheckSat(form)
 			gotInc, _, errInc := inc.CheckSat(form)
-			if (errCold == nil) != (errRaced == nil) || (errCold == nil) != (errInc == nil) {
-				t.Logf("seed %d q %d: error mismatch cold=%v raced=%v inc=%v",
-					seed, q, errCold, errRaced, errInc)
+			if (errCold == nil) != (errLaddered == nil) || (errCold == nil) != (errInc == nil) {
+				t.Logf("seed %d q %d: error mismatch cold=%v laddered=%v inc=%v",
+					seed, q, errCold, errLaddered, errInc)
 				return false
 			}
 			if errCold != nil {
 				continue
 			}
 			if got != want || gotInc != want {
-				t.Logf("seed %d q %d: cold=%v raced=%v inc=%v", seed, q, want, got, gotInc)
+				t.Logf("seed %d q %d: cold=%v laddered=%v inc=%v", seed, q, want, got, gotInc)
 				return false
 			}
 		}
-		races += raced.Stats.Races + inc.Stats.Races
+		escalations += laddered.Stats.CubeEscalations + inc.Stats.CubeEscalations
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-	if races == 0 {
-		t.Fatal("no query ever raced: the portfolio path was not exercised")
+	if escalations == 0 {
+		t.Fatal("no query ever escalated: the ladder was not exercised")
 	}
 }
 
 // TestPortfolioCertsVerify: with a Recorder attached, every certificate a
-// portfolio run emits — including traces recorded from a winning racer's
-// self-contained refutation — must verify from scratch with CheckDir.
+// ladder run with idle slots emits — including the composed refutations
+// of stolen-slot cube workers — must verify from scratch with CheckDir.
 func TestPortfolioCertsVerify(t *testing.T) {
 	for _, incremental := range []bool{false, true} {
 		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
@@ -104,6 +107,7 @@ func TestPortfolioCertsVerify(t *testing.T) {
 			rec := dw.NewRecorder(name)
 			pf := NewPortfolio(3)
 			pf.After = 1
+			pf.CubeAfter = 1
 			s := NewSolver(ctx)
 			s.Recorder = rec
 			s.Portfolio = pf
@@ -128,10 +132,11 @@ func TestPortfolioCertsVerify(t *testing.T) {
 					t.Fatalf("query %d: got %v, want %v", i, res, q.want)
 				}
 			}
-			if s.Stats.Races == 0 {
-				t.Fatal("no query raced despite After=1 on pigeonhole instances")
+			if s.Stats.CubeEscalations == 0 {
+				t.Fatal("no query escalated despite After=1 and CubeAfter=1 on pigeonhole instances")
 			}
-			t.Logf("races=%d racer wins=%d", s.Stats.Races, s.Stats.RaceRacerWins)
+			t.Logf("escalations=%d cubes=%d steals=%d",
+				s.Stats.CubeEscalations, s.Stats.CubesGenerated, s.Stats.CubeSteals)
 
 			if _, err := rec.Close(false); err != nil {
 				t.Fatal(err)
@@ -227,5 +232,64 @@ func TestCacheHitServedPastDeadline(t *testing.T) {
 	// An uncached query still hits the deadline gate.
 	if res, _, err := late.CheckSat(ctx.Eq(x, ctx.BV(1, 8))); res != ResultUnknown || err != ErrDeadline {
 		t.Fatalf("uncached query past deadline: (%v, %v), want (Unknown, ErrDeadline)", res, err)
+	}
+}
+
+// restartOvershoot is the most a Solve call under the given conflict
+// budget can overshoot it: the budget is polled only at restart
+// boundaries, so the Luby segment (base 100 conflicts per unit) in
+// flight when the budget runs out always completes.
+func restartOvershoot(budget int64) int64 {
+	luby := func(i int64) int64 {
+		for {
+			k := int64(1)
+			for (int64(1)<<k)-1 < i {
+				k++
+			}
+			if i == (int64(1)<<k)-1 {
+				return int64(1) << (k - 1)
+			}
+			i -= (int64(1) << (k - 1)) - 1
+		}
+	}
+	var spent, most int64
+	for i := int64(1); spent < budget; i++ {
+		seg := 100 * luby(i)
+		most = max(most, seg)
+		spent += seg
+	}
+	return most
+}
+
+// TestLadderChargesCubeConflicts: the conflicts an escalated query spends
+// conquering cubes count against its ConflictBudget. With every slot busy
+// the conquest runs in place on the primary, and an Unknown conquest
+// falls through to the solo fallback — which must get only what the
+// probes and the cubes left, not a fresh grant of the remainder (that
+// let one query spend about twice its budget).
+func TestLadderChargesCubeConflicts(t *testing.T) {
+	const budget = 5000
+	for _, incremental := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
+			ctx := NewContext()
+			s := NewSolver(ctx)
+			s.Portfolio = drainedPortfolio()
+			s.Incremental = incremental
+			s.ConflictBudget = budget
+			res, _, err := s.CheckSat(distinctUnder(ctx, "h", 12, 4, 11))
+			if res != ResultUnknown || err != ErrBudget {
+				t.Fatalf("got (%v, %v), want (Unknown, ErrBudget)", res, err)
+			}
+			if s.Stats.CubeEscalations == 0 {
+				t.Fatal("the query never escalated to cube-and-conquer")
+			}
+			limit := budget + restartOvershoot(budget)
+			if s.Stats.SATConflicts > limit {
+				t.Fatalf("query spent %d conflicts under a budget of %d (limit %d with one restart segment's overshoot)",
+					s.Stats.SATConflicts, budget, limit)
+			}
+			t.Logf("conflicts=%d limit=%d escalations=%d refuted=%d",
+				s.Stats.SATConflicts, limit, s.Stats.CubeEscalations, s.Stats.CubesRefuted)
+		})
 	}
 }

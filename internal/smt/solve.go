@@ -48,25 +48,20 @@ type Stats struct {
 	Certificates  int64 // query certificates emitted
 
 	// Inprocessing counters (see internal/sat/preprocess.go). These count
-	// the work done by the primary per-query/per-worker instances; racer
-	// instances simplify their own snapshots and are not aggregated.
+	// the work done by the primary per-query/per-worker instances; cube
+	// workers never inprocess.
 	SubsumedClauses     int64 // clauses deleted as subsumed or root-satisfied
 	StrengthenedClauses int64 // clauses shortened by self-subsuming resolution
 	VivifiedClauses     int64 // clauses shortened by vivification probes
 	EliminatedVars      int64 // variables removed by bounded elimination
 
-	// Portfolio-racing counters.
-	Races         int64 // queries that outlived the probe budget and raced
-	RaceRacerWins int64 // races decided by a racer rather than the primary
-	RaceTokens    int64 // idle worker slots borrowed across all races
-	// Loser-side race accounting: CPU spent by racers whose result was
-	// discarded (and by the primary's race leg when a racer won). Kept
-	// apart from SATConflicts, which counts only work that produced the
-	// verdicts, so phase reports can show the true cost of racing.
+	// Counters of the deleted portfolio race: always 0; kept only so the
+	// benchmark module builds.
+	Races               int64
+	RaceRacerWins       int64
 	RaceWastedConflicts int64
-	RaceWastedProps     int64
 
-	// Cube-and-conquer counters (the escalation tier above racing).
+	// Cube-and-conquer counters (the escalation tier above solo probes).
 	CubeEscalations int64 // queries escalated to cube-and-conquer
 	CubesGenerated  int64 // cubes emitted by the lookahead cuber
 	CubesRefuted    int64 // cubes refuted under assumptions
@@ -95,9 +90,7 @@ func (s *Stats) Add(o Stats) {
 	s.EliminatedVars += o.EliminatedVars
 	s.Races += o.Races
 	s.RaceRacerWins += o.RaceRacerWins
-	s.RaceTokens += o.RaceTokens
 	s.RaceWastedConflicts += o.RaceWastedConflicts
-	s.RaceWastedProps += o.RaceWastedProps
 	s.CubeEscalations += o.CubeEscalations
 	s.CubesGenerated += o.CubesGenerated
 	s.CubesRefuted += o.CubesRefuted
@@ -115,16 +108,13 @@ type Solver struct {
 	// Deadline, when non-zero, makes queries return ErrDeadline once passed.
 	Deadline time.Time
 	// Budget is the wall-clock allowance Deadline was derived from. The
-	// adaptive escalation ladder uses it to gate portfolio races on the
-	// remaining-deadline fraction: while more than half the budget is
-	// left the primary keeps probing solo with doubled budgets, so races
-	// fire only for queries that are genuinely running out of time. Zero
-	// (or a zero Deadline) leaves races ungated, the pre-adaptive
-	// behavior.
+	// escalation ladder uses it to gate escalation past solo probes on
+	// the remaining-deadline fraction: while more than half the budget
+	// is left the primary keeps probing solo with doubled budgets, so
+	// cube-and-conquer fires only for queries that are genuinely running
+	// out of time. Zero (or a zero Deadline) leaves the gate open after
+	// the first probe.
 	Budget time.Duration
-	// DisableCube turns off the cube-and-conquer escalation tier above
-	// portfolio racing (ablation; see cube.go and sat.BuildCubes).
-	DisableCube bool
 	// Incremental keeps one SAT instance, bit-blaster, and array reducer
 	// alive across queries: shared subterms are encoded once and learned
 	// clauses carry over, the incremental solving the paper's §5.1 names
@@ -148,9 +138,10 @@ type Solver struct {
 	// preserved: every rewrite is logged into the DRAT trace, and the one
 	// non-RUP rewrite is auto-disabled while a Recorder is attached.
 	Inprocess bool
-	// Portfolio, when non-nil, races queries that outlive the probe
-	// budget across idle worker slots with diversified configurations;
-	// the first decision cancels the rest. See portfolio.go.
+	// Portfolio, when non-nil, turns on the escalation ladder: a query
+	// that outlives its solo probes is split by cube-and-conquer, whose
+	// cubes are drained by the query's own thread plus any idle worker
+	// slots of the pool. Nil solves every query solo. See portfolio.go.
 	Portfolio *Portfolio
 	// Recorder, when non-nil, makes every decided query emit a proof
 	// certificate: Unsat verdicts stream their SAT clause trace into a
@@ -332,7 +323,7 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 		return ResultUnknown, nil, err
 	}
 	solver.AddClause(root)
-	st, winner := s.solveRaced(solver)
+	st, winner := s.solveLadder(solver)
 	s.Stats.SATConflicts += solver.Conflicts
 	s.Stats.SATDecisions += solver.Decisions
 	s.Stats.CNFClauses += int64(solver.NumClauses())
@@ -345,15 +336,16 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 		if sess != nil {
 			// No assumptions here, so Unsat is a global refutation: the
 			// obligation is the empty clause. The winner's trace is the
-			// one recorded — a racer's is a complete one-shot refutation
-			// of the snapshot CNF over the same variable numbering.
+			// one recorded — a composed cube certificate is a complete
+			// one-shot refutation of the snapshot CNF over the same
+			// variable numbering.
 			s.recordUnsat(winner.Proof, 0, sess, nil, keyHex)
 		}
 		return ResultUnsat, nil, nil
 	case sat.Unknown:
-		// Unknown conflates budget exhaustion, deadline expiry, and a lost
-		// race; attribute the deadline truthfully so tail reports do not
-		// blame the conflict budget for wall-clock starvation.
+		// Unknown conflates budget exhaustion and deadline expiry;
+		// attribute the deadline truthfully so tail reports do not blame
+		// the conflict budget for wall-clock starvation.
 		if s.pastDeadline() {
 			return ResultUnknown, nil, ErrDeadline
 		}
@@ -378,8 +370,7 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 		// The persistent instance sees new clauses and assumption
 		// variables on every query, so it gets the implication-only
 		// inprocessing rewrites; variable elimination stays off
-		// (InprocessElim false) — racers spawned from its snapshots are
-		// one-shot and run the full set.
+		// (InprocessElim false).
 		s.incSAT.Inprocess = s.Inprocess
 		if s.Recorder != nil {
 			// One session for the whole solver lifetime: the trace grows
@@ -441,7 +432,7 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 	}
 	s.incSAT.ConflictBudget = s.ConflictBudget
 	s.incSAT.Deadline = s.Deadline
-	st, winner := s.solveRaced(s.incSAT, root)
+	st, winner := s.solveLadder(s.incSAT, root)
 	switch st {
 	case sat.Unsat:
 		if s.incSession != nil {
@@ -456,11 +447,12 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 				}
 				s.incFlushed = s.recordUnsat(s.incSAT.Proof, s.incFlushed, s.incSession, final, keyHex)
 			} else {
-				// A racer won. Its trace is a self-contained one-shot
-				// refutation — snapshot clauses plus the activation unit as
-				// inputs, empty clause as the obligation — so it gets its
-				// own session; the shared incremental session and its flush
-				// watermark stay untouched for the next primary-won query.
+				// Cube workers won. Their composed trace is a self-contained
+				// one-shot refutation — snapshot clauses plus the activation
+				// unit as inputs, empty clause as the obligation — so it gets
+				// its own session; the shared incremental session and its
+				// flush watermark stay untouched for the next primary-won
+				// query.
 				sess := s.Recorder.NewSession()
 				s.mapBlasterVars(sess, s.incBlaster)
 				s.recordUnsat(winner.Proof, 0, sess, nil, keyHex)
@@ -474,7 +466,7 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 		return ResultUnknown, nil, ErrBudget
 	}
 	// The snapshot preserves variable numbering, so the blaster memos
-	// decode a racer's model exactly like the primary's.
+	// decode a cube worker's model exactly like the primary's.
 	m := s.extractModel(f, s.incReducer, s.incBlaster, winner)
 	s.recordModel(f, m, keyHex)
 	return ResultSat, m, nil

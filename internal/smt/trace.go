@@ -19,8 +19,9 @@ func (s *Solver) finishQuery(sp *telemetry.Span, start time.Time, before Stats, 
 	d := time.Since(start)
 	s.Metrics.Observe("smt.query", d)
 	s.Metrics.Add("smt.query."+res.String(), 1)
-	// Inprocessing work this query contributed (portfolio.* counters are
-	// emitted at race time in solveRaced, where the outcome is known).
+	// Inprocessing work this query contributed (the ladder's cube.* and
+	// portfolio.probe.* counters are emitted in solveLadder as its stages
+	// run).
 	if n := s.Stats.SubsumedClauses - before.SubsumedClauses; n > 0 {
 		s.Metrics.Add("inprocess.subsumed", n)
 	}

@@ -8,7 +8,7 @@ package tv
 import (
 	"errors"
 	"fmt"
-	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/core"
@@ -106,9 +106,10 @@ type PhaseTimes struct {
 }
 
 // MemStats is the allocation breakdown of one validation run, sampled
-// from runtime.MemStats at phase boundaries: each phase field is the
-// TotalAlloc delta across that phase, and Peak is the largest HeapAlloc
-// seen at any boundary. The counters are process-global, so with
+// from the runtime's heap counters at phase boundaries: each phase field
+// is the cumulative-allocation (TotalAlloc) delta across that phase, and
+// Peak is the largest live-heap (HeapAlloc) reading seen at any
+// boundary. The counters are process-global, so with
 // parallel workers a phase is charged with everything allocated while
 // it ran, including other workers' allocations — an approximation that
 // still localizes which phase an out-of-memory row died in. Parse is
@@ -143,15 +144,23 @@ type Outcome struct {
 // since the previous boundary to *phase (nil: establish the baseline
 // only), and folds the current heap size into Mem.Peak. Exported so the
 // harness can charge its per-function parse phase with the same clock.
+//
+// The counters come from runtime/metrics, not runtime.ReadMemStats: the
+// latter stops the world, so every phase boundary of every worker would
+// stall all the others, and under CPU contention the stall lands in
+// tv.validate outside any phase span.
 func (o *Outcome) MarkPhase(phase *int64) {
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	ta := int64(ms.TotalAlloc)
+	samples := [...]metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},              // MemStats.TotalAlloc
+		{Name: "/memory/classes/heap/objects:bytes"}, // MemStats.HeapAlloc
+	}
+	metrics.Read(samples[:])
+	ta := int64(samples[0].Value.Uint64())
 	if phase != nil {
 		*phase = ta - o.memMark
 	}
 	o.memMark = ta
-	if ha := int64(ms.HeapAlloc); ha > o.Mem.Peak {
+	if ha := int64(samples[1].Value.Uint64()); ha > o.Mem.Peak {
 		o.Mem.Peak = ha
 	}
 }
@@ -304,8 +313,8 @@ func runCheck(mod *llvmir.Module, fn *llvmir.Function, xfn *vx86.Function,
 	// checker's symbolic-stepping loop polls the same deadline.
 	solver.Deadline = deadline
 	// The original wall-clock allowance, alongside the absolute deadline,
-	// is what lets the portfolio's escalation ladder gate races on the
-	// remaining-budget fraction (see smt.Solver.Budget).
+	// is what lets the solver's escalation ladder gate cube-and-conquer on
+	// the remaining-budget fraction (see smt.Solver.Budget).
 	solver.Budget = budget.Timeout
 	// Runs during panic unwinding too (declared after the recover handler,
 	// so it fires first): the phase breakdown and span must survive an OOM

@@ -188,9 +188,7 @@ func mergeStats(dst, src *harness.StatsJSON) {
 	a.EliminatedVars += b.EliminatedVars
 	a.Races += b.Races
 	a.RaceRacerWins += b.RaceRacerWins
-	a.RaceTokens += b.RaceTokens
 	a.RaceWastedConflicts += b.RaceWastedConflicts
-	a.RaceWastedProps += b.RaceWastedProps
 	a.CubeEscalations += b.CubeEscalations
 	a.CubesGenerated += b.CubesGenerated
 	a.CubesRefuted += b.CubesRefuted

@@ -55,9 +55,7 @@ func (r *BatchResult) Summary() *harness.Summary {
 
 			Races:               s.SMT.Races,
 			RaceRacerWins:       s.SMT.RaceRacerWins,
-			RaceTokens:          s.SMT.RaceTokens,
 			RaceWastedConflicts: s.SMT.RaceWastedConflicts,
-			RaceWastedProps:     s.SMT.RaceWastedProps,
 
 			CubeEscalations: s.SMT.CubeEscalations,
 			CubesGenerated:  s.SMT.CubesGenerated,
