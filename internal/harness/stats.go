@@ -43,6 +43,7 @@ type SMTStatsJSON struct {
 	CacheHits    int64   `json:"cache_hits"`
 	CacheMisses  int64   `json:"cache_misses"`
 	CacheBytes   int64   `json:"cache_bytes"`
+	ModelReuses  int64   `json:"model_reuses"`
 	Conflicts    int64   `json:"conflicts"`
 	Decisions    int64   `json:"decisions"`
 	Clauses      int64   `json:"clauses"`
@@ -106,6 +107,7 @@ func (s *Summary) StatsJSON() *StatsJSON {
 			CacheHits:    s.SMTStats.CacheHits,
 			CacheMisses:  s.SMTStats.CacheMisses,
 			CacheBytes:   s.SMTStats.CacheBytes,
+			ModelReuses:  s.SMTStats.ModelReuses,
 			Conflicts:    s.SMTStats.SATConflicts,
 			Decisions:    s.SMTStats.SATDecisions,
 			Clauses:      s.SMTStats.CNFClauses,

@@ -5,14 +5,16 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"math"
 	"sort"
 )
 
-// Binary DRAT container (schema 2). The file starts with an uncompressed
-// four-byte magic "BDRT" plus one version byte; everything after the
-// header is one DEFLATE stream of records:
+// Binary DRAT container (schema 2, container version 3). The file starts
+// with an uncompressed four-byte magic "BDRT" plus one version byte, then
+// one DEFLATE stream of records, then a four-byte little-endian CRC-32
+// (IEEE) of the uncompressed record stream:
 //
 //	's' uvarint(index)          switch the current session. The first
 //	                            record with an index opens that session;
@@ -33,12 +35,19 @@ import (
 // deletion matching keys on sorted literals — and it makes the deltas
 // small, which together with DEFLATE is what buys the ~8-9x size
 // reduction over a textual DRAT trace.
+//
+// DEFLATE itself carries no checksum, so without the trailer a flipped
+// byte can decode into a different but well-formed input clause, and
+// input clauses carry no proof obligation: the replay would accept it.
+// Version 2 was that unchecked format; the walker refuses it by name.
 const (
 	binDratMagic = "BDRT"
 	// BinDratVersion is the on-disk version byte; readers reject files
 	// whose version they do not understand rather than misparse them.
-	BinDratVersion = 2
+	BinDratVersion = 3
 )
+
+const errBinDratV2 = "binary drat version 2 has no checksum and is no longer supported; re-emit"
 
 const maxClauseLen = 1 << 24 // decoder sanity bound on uvarint clause lengths
 
@@ -47,7 +56,9 @@ const maxClauseLen = 1 << 24 // decoder sanity bound on uvarint clause lengths
 // error: after the first write failure every call is a no-op returning
 // that error.
 type BinWriter struct {
+	w       io.Writer // underlying writer, for the trailer
 	fw      *flate.Writer
+	crc     uint32  // CRC-32 of the records written so far
 	rec     []byte  // record scratch
 	scratch []int32 // sorted-literal scratch (callers keep their slices)
 	cur     int     // current session, -1 before the first record
@@ -57,7 +68,7 @@ type BinWriter struct {
 
 // NewBinWriter writes the header to w and returns a writer for the body.
 func NewBinWriter(w io.Writer) *BinWriter {
-	bw := &BinWriter{cur: -1}
+	bw := &BinWriter{w: w, cur: -1}
 	if _, err := io.WriteString(w, binDratMagic); err != nil {
 		bw.err = err
 		return bw
@@ -97,8 +108,7 @@ func (bw *BinWriter) Step(sess int, op byte, lits []int32) error {
 			bw.seen = sess + 1
 		}
 		bw.rec = appendUvarint(append(bw.rec[:0], 's'), uint64(sess))
-		if _, err := bw.fw.Write(bw.rec); err != nil {
-			bw.err = err
+		if err := bw.write(); err != nil {
 			return err
 		}
 		bw.cur = sess
@@ -115,11 +125,16 @@ func (bw *BinWriter) Step(sess int, op byte, lits []int32) error {
 		bw.rec = appendUvarint(bw.rec, uint64(v-prev)<<1|sign)
 		prev = v
 	}
+	return bw.write()
+}
+
+// write compresses the record in bw.rec and adds it to the checksum.
+func (bw *BinWriter) write() error {
+	bw.crc = crc32.Update(bw.crc, crc32.IEEETable, bw.rec)
 	if _, err := bw.fw.Write(bw.rec); err != nil {
 		bw.err = err
-		return err
 	}
-	return nil
+	return bw.err
 }
 
 // Flush forces buffered records through the compressor to the underlying
@@ -134,16 +149,18 @@ func (bw *BinWriter) Flush() error {
 	return bw.err
 }
 
-// Close terminates the DEFLATE stream. The underlying writer is not
-// closed.
+// Close terminates the DEFLATE stream and writes the checksum trailer.
+// The underlying writer is not closed.
 func (bw *BinWriter) Close() error {
 	if bw.err != nil {
 		return bw.err
 	}
-	if bw.fw != nil {
-		if err := bw.fw.Close(); err != nil {
-			bw.err = err
-		}
+	if err := bw.fw.Close(); err != nil {
+		bw.err = err
+		return err
+	}
+	if _, err := bw.w.Write(binary.LittleEndian.AppendUint32(nil, bw.crc)); err != nil {
+		bw.err = err
 	}
 	return bw.err
 }
@@ -175,13 +192,21 @@ func appendUvarint(b []byte, v uint64) []byte {
 
 // WalkDrat streams the steps of a binary .drat container. Anything
 // without the container magic — including the retired textual trace of
-// schema 1 — is refused. The literal slice passed to fn is reused
-// between calls and must not be retained.
+// schema 1 — is refused, and so is the unchecked version 2. The
+// literal slice passed to fn is reused between calls and must not be
+// retained.
+//
+// Steps reach fn as they decode, before the checksum trailer is read: a
+// caller must treat everything fn saw as unverified unless WalkDrat
+// returns nil.
 func WalkDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error) error {
 	br := bufio.NewReaderSize(r, 1<<16)
 	head, _ := br.Peek(len(binDratMagic) + 1)
 	if len(head) < len(binDratMagic) || string(head[:len(binDratMagic)]) != binDratMagic {
 		return fmt.Errorf("proof: not a binary drat container (%s)", errSchema1)
+	}
+	if len(head) == len(binDratMagic)+1 && head[len(binDratMagic)] == 2 {
+		return fmt.Errorf("proof: %s", errBinDratV2)
 	}
 	if len(head) < len(binDratMagic)+1 || head[len(binDratMagic)] != BinDratVersion {
 		return fmt.Errorf("proof: unsupported binary drat version, checker supports %d", BinDratVersion)
@@ -192,16 +217,21 @@ func WalkDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error) error
 	return walkBinaryDrat(br, fn)
 }
 
-func walkBinaryDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error) error {
-	fr := flate.NewReader(r)
+// walkBinaryDrat decodes the DEFLATE body and checks the trailer. br is
+// handed to the decompressor as an io.ByteReader, so the decompressor
+// stops exactly at the end of the DEFLATE stream and the trailer is
+// still in br.
+func walkBinaryDrat(br *bufio.Reader, fn func(sess int, op byte, lits []int32) error) error {
+	fr := flate.NewReader(br)
 	defer fr.Close()
-	rd := bufio.NewReaderSize(fr, 1<<15)
+	crc := crc32.NewIEEE()
+	rd := bufio.NewReaderSize(io.TeeReader(fr, crc), 1<<15)
 	cur := -1
 	var lits []int32
 	for {
 		b, err := rd.ReadByte()
 		if err == io.EOF {
-			return nil
+			return checkTrailer(br, crc.Sum32())
 		}
 		if err != nil {
 			return fmt.Errorf("proof: binary drat: %v", err)
@@ -258,4 +288,20 @@ func walkBinaryDrat(r io.Reader, fn func(sess int, op byte, lits []int32) error)
 			return fmt.Errorf("proof: binary drat: unknown record 0x%02x", b)
 		}
 	}
+}
+
+// checkTrailer reads the four-byte checksum after the DEFLATE stream and
+// compares it with sum, the checksum of the records decoded.
+func checkTrailer(br *bufio.Reader, sum uint32) error {
+	var tr [4]byte
+	if _, err := io.ReadFull(br, tr[:]); err != nil {
+		return fmt.Errorf("proof: binary drat: missing checksum trailer")
+	}
+	if got := binary.LittleEndian.Uint32(tr[:]); got != sum {
+		return fmt.Errorf("proof: binary drat: checksum mismatch (trailer %08x, records %08x)", got, sum)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		return fmt.Errorf("proof: binary drat: data after checksum trailer")
+	}
+	return nil
 }

@@ -10,6 +10,7 @@ import (
 	"bytes"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/proof"
@@ -131,6 +132,48 @@ func TestBinDratTruncatedRejected(t *testing.T) {
 	err := proof.WalkDrat(bytes.NewReader(data), func(int, byte, []int32) error { return nil })
 	if err == nil {
 		t.Fatal("truncated body accepted")
+	}
+}
+
+// TestBinDratChecksumTrailer pins the trailer: a trace whose records
+// decode cleanly is still refused when the CRC-32 after the DEFLATE
+// stream is missing, does not match the records, or is followed by
+// more bytes; and version 2 (the unchecked format) is refused by name.
+func TestBinDratChecksumTrailer(t *testing.T) {
+	var buf bytes.Buffer
+	bw := proof.NewBinWriter(&buf)
+	for i := 0; i < 50; i++ {
+		if err := bw.Step(i%3, proof.OpInput, []int32{int32(i + 1), -int32(i + 2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	walk := func(data []byte) error {
+		return proof.WalkDrat(bytes.NewReader(data), func(int, byte, []int32) error { return nil })
+	}
+	if err := walk(good); err != nil {
+		t.Fatalf("intact trace rejected: %v", err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)-2] ^= 0x80
+	v2 := append([]byte(nil), good[:len(good)-4]...)
+	v2[4] = 2
+	for _, tc := range []struct {
+		name, data, want string
+	}{
+		{"flipped trailer", string(flipped), "checksum mismatch"},
+		{"missing trailer", string(good[:len(good)-4]), "missing checksum trailer"},
+		{"short trailer", string(good[:len(good)-1]), "missing checksum trailer"},
+		{"data after trailer", string(good) + "x", "data after checksum trailer"},
+		{"version 2", string(v2), "version 2 has no checksum"},
+	} {
+		err := walk([]byte(tc.data))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

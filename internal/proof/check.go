@@ -466,7 +466,9 @@ func checkFunctionCerts(dir, base string, loader *termLoader, report *CheckRepor
 // replayDrat walks the binary trace once, maintaining one RUP
 // checker per session — sessions interleave in a streaming trace — and
 // discharging each obligation when its session reaches the recorded
-// position.
+// position. An obligation that holds counts as verified only once the
+// whole file has decoded and its checksum matched: a file WalkDrat
+// rejects leaves every certificate pointing into it unverified.
 func replayDrat(dir, base string, fc *fnCerts, bySess map[int][]dratCheckpoint, report *CheckReport) {
 	type sessState struct {
 		ck     *SessionChecker
@@ -480,6 +482,7 @@ func replayDrat(dir, base string, fc *fnCerts, bySess map[int][]dratCheckpoint, 
 		sort.SliceStable(cps, func(i, j int) bool { return cps[i].pos < cps[j].pos })
 		states[si] = &sessState{ck: NewSessionChecker(), cps: cps}
 	}
+	var held []*certStatus // obligations that held, pending the checksum
 	discharge := func(ss *sessState) {
 		for ss.next < len(ss.cps) && ss.cps[ss.next].pos == ss.pos {
 			cp := ss.cps[ss.next]
@@ -492,17 +495,16 @@ func replayDrat(dir, base string, fc *fnCerts, bySess map[int][]dratCheckpoint, 
 				report.reject("%s/%s: %v", fc.name, cp.cs.ID, err)
 				continue
 			}
-			cp.cs.verified = true
-			report.Queries++
-			report.ByKind[KindDRAT]++
+			held = append(held, cp.cs)
 		}
 	}
 	df, err := os.Open(filepath.Join(dir, base+DratSuffix))
 	if err != nil && !os.IsNotExist(err) {
 		report.reject("%s: %v", base+DratSuffix, err)
 	}
+	var werr error
 	if err == nil {
-		werr := WalkDrat(df, func(si int, op byte, lits []int32) error {
+		werr = WalkDrat(df, func(si int, op byte, lits []int32) error {
 			ss := states[si]
 			if ss == nil {
 				ss = &sessState{ck: NewSessionChecker()}
@@ -554,6 +556,15 @@ func replayDrat(dir, base string, fc *fnCerts, bySess map[int][]dratCheckpoint, 
 			report.reject("%s/%s: position %d beyond end of session %d (%d steps)",
 				fc.name, ss.cps[ss.next].cs.ID, ss.cps[ss.next].pos, si, ss.pos)
 		}
+	}
+	for _, cs := range held {
+		if werr != nil {
+			report.reject("%s/%s: unverified, %s rejected", fc.name, cs.ID, base+DratSuffix)
+			continue
+		}
+		cs.verified = true
+		report.Queries++
+		report.ByKind[KindDRAT]++
 	}
 }
 

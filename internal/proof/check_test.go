@@ -212,10 +212,16 @@ func decodeDrat(data []byte) []dratStep {
 	return steps
 }
 
-// TestTamperedDRATClauseRejected flips a literal inside a learnt clause
-// of a binary DRAT trace and re-encodes it — a well-formed container
-// whose RUP obligation no longer holds; the replay must reject the
-// session and the certificates pointing into it.
+// TestTamperedDRATClauseRejected replaces a learnt clause of a binary
+// DRAT trace with a unit clause over a variable the trace never
+// mentions, and re-encodes it — a well-formed container whose RUP
+// obligation does not hold. Flipping a literal of a real learnt clause
+// is not enough: the flipped clause can still be RUP, depending on
+// which clauses the search happened to learn. A fresh-variable unit is
+// RUP only if the live clauses before it are already refuted by unit
+// propagation, which a fresh checker's replay of the prefix rules out.
+// The replay must reject the session and the certificates pointing
+// into it.
 func TestTamperedDRATClauseRejected(t *testing.T) {
 	src, _ := emitProofDir(t)
 	dir := copyProofDir(t, src)
@@ -228,16 +234,46 @@ func TestTamperedDRATClauseRejected(t *testing.T) {
 		return false
 	})
 	steps := decodeDrat(data)
-	tampered := false
+	var fresh int32
 	for _, s := range steps {
+		for _, l := range s.lits {
+			if l < 0 {
+				l = -l
+			}
+			fresh = max(fresh, l+1)
+		}
+	}
+	at := -1
+	for i, s := range steps {
 		if s.op == proof.OpLearn && len(s.lits) > 0 {
-			s.lits[0] = -s.lits[0]
-			tampered = true
+			at = i
 			break
 		}
 	}
-	if !tampered {
+	if at < 0 {
 		t.Fatal("no learnt clause found to tamper with")
+	}
+	steps[at].lits = []int32{fresh}
+	ck := proof.NewSessionChecker()
+	for _, s := range steps[:at] {
+		if s.sess != steps[at].sess {
+			continue
+		}
+		var err error
+		switch s.op {
+		case proof.OpInput:
+			err = ck.AddInput(s.lits)
+		case proof.OpLearn:
+			err = ck.AddLearnt(s.lits)
+		case proof.OpDelete:
+			err = ck.Delete(s.lits)
+		}
+		if err != nil {
+			t.Fatalf("untampered prefix does not replay: %v", err)
+		}
+	}
+	if err := ck.AddLearnt(steps[at].lits); err == nil || !strings.Contains(err.Error(), "not RUP") {
+		t.Fatalf("tampered clause %v: got %v, the test needs a non-RUP tamper", steps[at].lits, err)
 	}
 	var buf bytes.Buffer
 	bw := proof.NewBinWriter(&buf)
@@ -263,7 +299,9 @@ func TestTamperedDRATClauseRejected(t *testing.T) {
 
 // TestTamperedDRATByteFlipRejected flips a raw byte inside the
 // compressed body of a binary DRAT trace; the checker must report the
-// broken file rather than silently verifying a truncated prefix.
+// broken file rather than silently verifying a truncated prefix or a
+// body that decodes into different clauses (the checksum trailer's
+// job: DEFLATE alone can turn the flip into another input clause).
 func TestTamperedDRATByteFlipRejected(t *testing.T) {
 	src, _ := emitProofDir(t)
 	dir := copyProofDir(t, src)
@@ -280,6 +318,74 @@ func TestTamperedDRATByteFlipRejected(t *testing.T) {
 	}
 	if len(report.Rejections) == 0 {
 		t.Fatalf("byte-flipped DRAT file %s was not rejected", filepath.Base(path))
+	}
+}
+
+// TestDRATChecksumMismatchLeavesCertsUnverified corrupts only the
+// checksum trailer of a binary DRAT trace, so every record still
+// decodes and every RUP obligation still holds. The file must be
+// rejected and every certificate pointing into it left unverified: the
+// directory verifies exactly that many fewer drat certificates, and the
+// function loses its certification.
+func TestDRATChecksumMismatchLeavesCertsUnverified(t *testing.T) {
+	src, _ := emitProofDir(t)
+	clean, err := proof.CheckDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := copyProofDir(t, src)
+	// A certified function with a trace, so losing its certification
+	// is observable.
+	var base, path string
+	var data []byte
+	for _, fn := range clean.Certified {
+		p := filepath.Join(dir, fn+proof.DratSuffix)
+		if b, err := os.ReadFile(p); err == nil && len(decodeDrat(b)) > 0 {
+			base, path, data = fn, p, b
+			break
+		}
+	}
+	if base == "" {
+		t.Fatal("no certified function with a DRAT trace")
+	}
+	certs, err := os.ReadFile(filepath.Join(dir, base+proof.CertsSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	drats := 0
+	for _, raw := range certValues(inflate(certs)) {
+		var q proof.QueryCert
+		if json.Unmarshal(raw, &q) == nil && q.Kind == proof.KindDRAT {
+			drats++
+		}
+	}
+	if drats == 0 {
+		t.Fatalf("%s has a trace but no drat certificates", base)
+	}
+	data[len(data)-1] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	report, err := proof.CheckDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mismatch := false
+	for _, r := range report.Rejections {
+		mismatch = mismatch || strings.Contains(r, "checksum mismatch")
+	}
+	if !mismatch {
+		t.Fatalf("corrupted trailer of %s not reported as a checksum mismatch: %v",
+			filepath.Base(path), report.Rejections)
+	}
+	if got, want := report.ByKind[proof.KindDRAT], clean.ByKind[proof.KindDRAT]-drats; got != want {
+		t.Fatalf("verified %d drat certificates, want %d (%d of %s left unverified)",
+			got, want, drats, base)
+	}
+	for _, fn := range report.Certified {
+		if fn == base {
+			t.Fatalf("%s still certified with a rejected trace", base)
+		}
 	}
 }
 

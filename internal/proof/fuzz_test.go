@@ -79,6 +79,11 @@ func FuzzWalkDrat(f *testing.F) {
 	}))
 	f.Add(encodeSteps(f, []dratStep{{7, proof.OpInput, []int32{-2147483647, 5, -5}}}))
 	f.Add(encodeSteps(f, nil))
+	// A corrupted trailer, and the unchecked version 2.
+	bad := encodeSteps(f, []dratStep{{0, proof.OpInput, []int32{1, -2}}, {0, proof.OpLearn, []int32{1}}})
+	bad[len(bad)-1] ^= 0x01
+	f.Add(bad)
+	f.Add([]byte("BDRT\x03"))
 	f.Add([]byte("BDRT\x02"))
 	f.Add([]byte("s 0\ni 1 -2 0\nl -1 0\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {

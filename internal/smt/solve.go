@@ -40,6 +40,7 @@ type Stats struct {
 	CacheHits     int64 // decided by the shared VC cache, no SAT call
 	CacheMisses   int64 // cache consulted but the query had to be solved
 	CacheBytes    int64 // canonical serialization bytes hashed for cache keys
+	ModelReuses   int64 // Sat answered by a recent model, no SAT call
 	SATConflicts  int64
 	SATDecisions  int64
 	CNFClauses    int64
@@ -78,6 +79,7 @@ func (s *Stats) Add(o Stats) {
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
 	s.CacheBytes += o.CacheBytes
+	s.ModelReuses += o.ModelReuses
 	s.SATConflicts += o.SATConflicts
 	s.SATDecisions += o.SATDecisions
 	s.CNFClauses += o.CNFClauses
@@ -172,10 +174,18 @@ type Solver struct {
 	incSession *proof.Session
 	incFlushed int
 	canonMemo  map[*Term]CanonKey
+	// models holds the most recent SAT-found models, most recently used
+	// first; see reuseModel.
+	models []*Assign
 	// lastCert is the kind of the most recently recorded certificate
 	// (trivial/simplified/ref/model/drat), surfaced as a span attribute.
 	lastCert string
 }
+
+// modelWindow is how many recent SAT-found models reuseModel tries. On
+// 150 small corpus functions windows of 8, 16 and 64 answered the same
+// 520 queries and a window of 4 answered 502.
+const modelWindow = 8
 
 // ErrDeadline is returned when the Solver's deadline has passed.
 var ErrDeadline = errors.New("smt: deadline exceeded")
@@ -246,10 +256,19 @@ func (s *Solver) CheckSat(f *Term) (res Result, model *Assign, err error) {
 		}
 		s.Stats.CacheMisses++
 	}
+	if m := s.reuseModel(f); m != nil {
+		s.Stats.ModelReuses++
+		s.recordModel(f, m, keyHex)
+		if s.Cache != nil {
+			s.Cache.Put(key, ResultSat)
+		}
+		return ResultSat, m, nil
+	}
 	// The deadline gates solving only, and deliberately after the fast
-	// paths and the cache lookup above: a trivially-decided query or a
-	// shared-cache hit costs no solving, so an expired budget is no reason
-	// to withhold (and certify-by-reference) an answer already in hand.
+	// paths, the cache lookup and the model window above: a
+	// trivially-decided query, a shared-cache hit or a reused model costs
+	// no solving, so an expired budget is no reason to withhold (and
+	// certify) an answer already in hand.
 	if s.pastDeadline() {
 		return ResultUnknown, nil, ErrDeadline
 	}
@@ -258,6 +277,40 @@ func (s *Solver) CheckSat(f *Term) (res Result, model *Assign, err error) {
 		s.Cache.Put(key, res) // Put drops anything but Sat/Unsat
 	}
 	return res, model, err
+}
+
+// reuseModel answers f from the solver's recent models, the
+// counterexample cache of KLEE: sibling and child path conditions of one
+// function are usually satisfied by a model found a few queries earlier.
+// The first model under which f evaluates to true moves to the front of
+// the window and is returned; nil means no model satisfies f (or the
+// evaluator cannot decide it, e.g. a memory equality across bases). The
+// evaluator is the one proofcheck runs on every model certificate, so a
+// reused model is exactly as trustworthy as a freshly extracted one.
+// Only Sat can be answered this way.
+func (s *Solver) reuseModel(f *Term) *Assign {
+	for i, m := range s.models {
+		if ok, err := m.EvalBool(f); err == nil && ok {
+			copy(s.models[1:i+1], s.models[:i])
+			s.models[0] = m
+			return m
+		}
+	}
+	return nil
+}
+
+// rememberModel puts a SAT-found model at the front of the window,
+// dropping the least recently used one when the window is full. Only
+// extracted models enter: seeding the window with the all-zero
+// assignment answers more queries but changes which CNF reaches the
+// incremental instance, and on the corpus it made one function nine
+// times slower (DESIGN §5, "Recent-model reuse").
+func (s *Solver) rememberModel(m *Assign) {
+	if len(s.models) < modelWindow {
+		s.models = append(s.models, nil)
+	}
+	copy(s.models[1:], s.models)
+	s.models[0] = m
 }
 
 // canonKey returns the cache key of f, memoized per term node: hash-consing
@@ -352,6 +405,7 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 		return ResultUnknown, nil, ErrBudget
 	}
 	m := s.extractModel(f, red, b, winner)
+	s.rememberModel(m)
 	s.recordModel(f, m, keyHex)
 	return ResultSat, m, nil
 }
@@ -468,6 +522,7 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 	// The snapshot preserves variable numbering, so the blaster memos
 	// decode a cube worker's model exactly like the primary's.
 	m := s.extractModel(f, s.incReducer, s.incBlaster, winner)
+	s.rememberModel(m)
 	s.recordModel(f, m, keyHex)
 	return ResultSat, m, nil
 }

@@ -34,6 +34,10 @@ func (s *Solver) finishQuery(sp *telemetry.Span, start time.Time, before Stats, 
 	if n := s.Stats.EliminatedVars - before.EliminatedVars; n > 0 {
 		s.Metrics.Add("inprocess.eliminated", n)
 	}
+	reused := s.Stats.ModelReuses > before.ModelReuses
+	if reused {
+		s.Metrics.Add("smt.model_reuse", 1)
+	}
 	if sp == nil {
 		return
 	}
@@ -44,6 +48,9 @@ func (s *Solver) finishQuery(sp *telemetry.Span, start time.Time, before Stats, 
 	}
 	if s.Stats.FastQueries > before.FastQueries {
 		sp.SetAttr("fast", true)
+	}
+	if reused {
+		sp.SetAttr("model_reuse", true)
 	}
 	if s.Stats.Certificates > before.Certificates && s.lastCert != "" {
 		sp.SetAttr("cert", s.lastCert)

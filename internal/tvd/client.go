@@ -176,6 +176,7 @@ func mergeStats(dst, src *harness.StatsJSON) {
 	a.CacheHits += b.CacheHits
 	a.CacheMisses += b.CacheMisses
 	a.CacheBytes += b.CacheBytes
+	a.ModelReuses += b.ModelReuses
 	a.Conflicts += b.Conflicts
 	a.Decisions += b.Decisions
 	a.Clauses += b.Clauses

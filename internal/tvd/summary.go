@@ -41,6 +41,7 @@ func (r *BatchResult) Summary() *harness.Summary {
 			CacheHits:     s.SMT.CacheHits,
 			CacheMisses:   s.SMT.CacheMisses,
 			CacheBytes:    s.SMT.CacheBytes,
+			ModelReuses:   s.SMT.ModelReuses,
 			SATConflicts:  s.SMT.Conflicts,
 			SATDecisions:  s.SMT.Decisions,
 			CNFClauses:    s.SMT.Clauses,

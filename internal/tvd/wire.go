@@ -161,9 +161,11 @@ type MetricsSnapshot struct {
 }
 
 // keyVersion stamps the content-address derivation; bump it whenever
-// the validator's semantics change incompatibly (old entries then
-// simply miss).
-const keyVersion = "tvd/v1"
+// the validator's semantics or the certificate format change
+// incompatibly (old entries then simply miss). v2: stored traces are
+// BDRT version 3, and proofcheck refuses the version-2 traces a v1
+// entry holds.
+const keyVersion = "tvd/v2"
 
 // JobKey derives the content address of one job from its semantic
 // inputs: the pipeline version, the function, the module text, the ISel
