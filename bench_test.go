@@ -615,10 +615,9 @@ func TestBenchPR3JSON(t *testing.T) {
 	}
 }
 
-// BenchmarkAblationNoVCCache and BenchmarkAblationNoClauseReduce are the
-// EXPERIMENTS.md ablation rows for the two solver-side accelerators
-// introduced with the VC cache work. They reuse the same 10-function
-// corpus as the other ablations so the table stays comparable.
+// BenchmarkAblationNoVCCache is the EXPERIMENTS.md ablation row for the
+// run-wide VC result cache. It reuses the same 10-function corpus as the
+// other ablations so the table stays comparable.
 func BenchmarkAblationNoVCCache(b *testing.B) {
 	// tv.Validate creates a fresh solver per function with no shared
 	// cache, so the per-function ablation baseline is runAblation itself;
@@ -630,10 +629,6 @@ func BenchmarkAblationNoVCCache(b *testing.B) {
 			b.Fatalf("counts diverged: got %s want %s", got, base)
 		}
 	}
-}
-
-func BenchmarkAblationNoClauseReduce(b *testing.B) {
-	runAblation(b, core.Options{DisableClauseDBReduction: true})
 }
 
 // TestBenchPR5JSON writes the telemetry overhead artifact BENCH_PR5.json
@@ -869,7 +864,6 @@ func TestBenchPR6JSON(t *testing.T) {
 		Subsumed     int64          `json:"subsumed_clauses,omitempty"`
 		Strengthened int64          `json:"strengthened_clauses,omitempty"`
 		Vivified     int64          `json:"vivified_clauses,omitempty"`
-		Eliminated   int64          `json:"eliminated_vars,omitempty"`
 		TailSMTCount int64          `json:"tail_smt_count"`
 		TailSMTSecs  float64        `json:"tail_smt_seconds"`
 	}
@@ -888,7 +882,6 @@ func TestBenchPR6JSON(t *testing.T) {
 			Subsumed:     sum.SMTStats.SubsumedClauses,
 			Strengthened: sum.SMTStats.StrengthenedClauses,
 			Vivified:     sum.SMTStats.VivifiedClauses,
-			Eliminated:   sum.SMTStats.EliminatedVars,
 			TailSMTCount: tail.Count,
 			TailSMTSecs:  time.Duration(tail.Sum).Seconds(),
 		}

@@ -25,10 +25,10 @@
 // experiment corpus across a worker pool; results are identical to a
 // serial run (rows stay in corpus order), only faster. All experiment
 // workers share one verification-condition result cache keyed by
-// alpha-invariant canonical term hashes; -no-vc-cache and
-// -no-clause-reduce are the ablations for the two solver-side
-// accelerators. -cpuprofile/-memprofile write pprof profiles for corpus
-// runs.
+// alpha-invariant canonical term hashes; -no-vc-cache ablates it, and
+// -no-inprocess and -no-portfolio ablate the SAT inprocessing passes and
+// the escalation ladder. -cpuprofile/-memprofile write pprof profiles
+// for corpus runs.
 //
 // -emit-proofs writes the run's certificates in the one streaming
 // format (schema 2: binary DRAT traces, a shared DEFLATE-wrapped term
@@ -74,7 +74,6 @@ func run() int {
 	inadequate := flag.Int("inadequate-every", 150, "validate every n-th function with coarse liveness (0 = never)")
 	negForm := flag.Bool("negative-form", false, "ablation: disable the positive-form SMT optimization")
 	noVCCache := flag.Bool("no-vc-cache", false, "ablation: disable the run-wide VC result cache")
-	noClauseReduce := flag.Bool("no-clause-reduce", false, "ablation: disable LBD learned-clause database reduction")
 	noInprocess := flag.Bool("no-inprocess", false, "ablation: disable SatELite-style SAT inprocessing")
 	noPortfolio := flag.Bool("no-portfolio", false, "ablation: disable the escalation ladder (cube-and-conquer for queries that outlive their solo probes) and solve every query solo")
 	progress := flag.Bool("progress", false, "print per-function progress")
@@ -122,9 +121,8 @@ func run() int {
 
 	budget := tv.Budget{Timeout: *timeout, MaxTermNodes: *maxNodes, ConflictBudget: *conflicts}
 	copts := core.Options{
-		DisablePositiveForm:      *negForm,
-		DisableClauseDBReduction: *noClauseReduce,
-		DisableInprocess:         *noInprocess,
+		DisablePositiveForm: *negForm,
+		DisableInprocess:    *noInprocess,
 	}
 
 	code := 0

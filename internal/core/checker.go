@@ -48,13 +48,9 @@ type Options struct {
 	// harness injects one cache per corpus run so structurally identical
 	// obligations are proved once across all functions and workers.
 	VCCache *smt.Cache
-	// DisableClauseDBReduction turns off the LBD-based learned-clause
-	// database reduction in the SAT backend, reverting to the legacy
-	// activity-threshold policy (ablation).
-	DisableClauseDBReduction bool
 	// DisableInprocess turns off SatELite-style inprocessing in the SAT
-	// backend (subsumption, vivification, bounded variable elimination;
-	// ablation — on by default, see smt.Solver.Inprocess).
+	// backend (subsumption, self-subsumption, vivification; ablation — on
+	// by default, see smt.Solver.Inprocess).
 	DisableInprocess bool
 	// Portfolio, when non-nil, turns on the solver's escalation ladder
 	// and is the shared worker-slot pool its cube-and-conquer stage
@@ -106,7 +102,6 @@ func NewChecker(solver *smt.Solver, left, right Semantics, opts Options) *Checke
 	}
 	solver.Incremental = !opts.DisableIncrementalSMT
 	solver.Cache = opts.VCCache
-	solver.DisableClauseDB = opts.DisableClauseDBReduction
 	solver.Inprocess = !opts.DisableInprocess
 	solver.Portfolio = opts.Portfolio
 	solver.Recorder = opts.Proof

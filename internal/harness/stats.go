@@ -54,7 +54,6 @@ type SMTStatsJSON struct {
 	SubsumedClauses     int64 `json:"subsumed_clauses,omitempty"`
 	StrengthenedClauses int64 `json:"strengthened_clauses,omitempty"`
 	VivifiedClauses     int64 `json:"vivified_clauses,omitempty"`
-	EliminatedVars      int64 `json:"eliminated_vars,omitempty"`
 
 	// Counters of the deleted portfolio race: always 0; kept only so the
 	// benchmark module builds.
@@ -118,7 +117,6 @@ func (s *Summary) StatsJSON() *StatsJSON {
 			SubsumedClauses:     s.SMTStats.SubsumedClauses,
 			StrengthenedClauses: s.SMTStats.StrengthenedClauses,
 			VivifiedClauses:     s.SMTStats.VivifiedClauses,
-			EliminatedVars:      s.SMTStats.EliminatedVars,
 
 			Races:               s.SMTStats.Races,
 			RaceRacerWins:       s.SMTStats.RaceRacerWins,

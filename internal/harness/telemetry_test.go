@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -137,6 +138,30 @@ func TestMetricsMatchRows(t *testing.T) {
 			t.Errorf("smt.query observations = %d, solver stats say %d",
 				q.Count, sum.SMTStats.Queries)
 		}
+	}
+}
+
+// TestParseAllocationSampled: the parse phase of a function that parses
+// is charged with the bytes the parser allocated (Mem.Parse > 0, which
+// the job registry records as one mem.parse observation). runtime/metrics
+// counts small allocations when a size class's cached span is refilled,
+// so the function is long enough for its parse to refill spans.
+func TestParseAllocationSampled(t *testing.T) {
+	const n = 300
+	var src strings.Builder
+	src.WriteString("define i32 @chain(i32 %v0) {\nentry:\n")
+	for i := 1; i <= n; i++ {
+		fmt.Fprintf(&src, "  %%v%d = add i32 %%v%d, %d\n", i, i-1, i)
+	}
+	fmt.Fprintf(&src, "  ret i32 %%v%d\n}\n", n)
+	fn := corpus.Function{Name: "chain", Src: src.String()}
+	row, _, m := validateOne(Job{Fn: fn, Budget: tv.Budget{MaxTermNodes: 4_000_000}})
+	if row.Class == tv.ClassOther {
+		t.Fatalf("validating the chain: %v", row.Err)
+	}
+	h := m.Hist("mem.parse")
+	if h.Count != 1 || h.Min <= 0 {
+		t.Fatalf("mem.parse = %d observations (min %d), want one positive sample", h.Count, h.Min)
 	}
 }
 

@@ -42,7 +42,6 @@ func litsOf(clauses [][]int32) [][]sat.Lit {
 func conquer(t *testing.T, nvars int, clauses [][]sat.Lit, units []sat.Lit, cs *sat.CubeSet) (int, sat.CubeTrace) {
 	t.Helper()
 	w := sat.New()
-	w.LBD = true
 	w.Proof = &sat.ProofLog{}
 	for v := 0; v < nvars; v++ {
 		w.NewVar()
@@ -219,9 +218,10 @@ func TestCubeComposeUnderAssumptions(t *testing.T) {
 	t.Logf("%d assumption-mode certificates verified", verified)
 }
 
-// TestCubeComposeWithDeletions forces LBD database reductions inside the
-// conquering solver so the composed trace interleaves deletions, which
-// must still replay (each deletion matches the worker's own copy).
+// TestCubeComposeWithDeletions makes the conquering solver outgrow its
+// learnt-clause budget on a conflict-heavy instance, so the composed trace
+// interleaves database deletions, which must still replay (each deletion
+// matches the worker's own copy).
 func TestCubeComposeWithDeletions(t *testing.T) {
 	nvars, clauses := pigeonhole(7, 6)
 	lits := litsOf(clauses)
@@ -230,8 +230,6 @@ func TestCubeComposeWithDeletions(t *testing.T) {
 		t.Fatal("PHP(7,6) did not cube")
 	}
 	w := sat.New()
-	w.LBD = true
-	w.ReduceInterval = 1
 	w.Proof = &sat.ProofLog{}
 	for v := 0; v < nvars; v++ {
 		w.NewVar()
@@ -252,6 +250,9 @@ func TestCubeComposeWithDeletions(t *testing.T) {
 		if op, _ := w.Proof.Step(i); op == sat.OpDelete {
 			deletions++
 		}
+	}
+	if deletions == 0 {
+		t.Fatalf("no deletion steps in the conquering trace (%d conflicts, %d reduces)", w.Conflicts, w.Reduces)
 	}
 	log := sat.ComposeCubeProof(lits, nil, []sat.CubeTrace{tr}, cs.Internal)
 	if err := replayErr(log); err != nil {
@@ -276,7 +277,6 @@ func TestCubeComposeTamper(t *testing.T) {
 	var traces []sat.CubeTrace
 	for i, cube := range cs.Cubes {
 		w := sat.New()
-		w.LBD = true
 		w.Proof = &sat.ProofLog{}
 		for v := 0; v < nvars; v++ {
 			w.NewVar()

@@ -271,18 +271,16 @@ func pigeonhole(pigeons, holes int) (int, [][]int32) {
 	return pigeons * holes, clauses
 }
 
-// TestDifferentialPigeonholeWithDeletions forces the LBD clause-database
-// reduction to fire mid-proof (tiny reduce interval on a conflict-heavy
-// instance) so the trace contains deletion steps, then verifies the
+// TestDifferentialPigeonholeWithDeletions makes the clause-database
+// reduction fire mid-proof (a conflict-heavy instance outgrows the learnt
+// budget) so the trace contains deletion steps, then verifies the
 // refutation still replays: deleted clauses must be strictly matched and
 // must not be needed by later RUP checks.
 func TestDifferentialPigeonholeWithDeletions(t *testing.T) {
-	nvars, clauses := pigeonhole(6, 5)
+	nvars, clauses := pigeonhole(7, 6)
 	s := newLoggedSolver(nvars, clauses)
-	s.LBD = true
-	s.ReduceInterval = 1
 	if got := s.Solve(); got != sat.Unsat {
-		t.Fatalf("PHP(6,5) solved as %v, want unsat", got)
+		t.Fatalf("PHP(7,6) solved as %v, want unsat", got)
 	}
 	deletions := 0
 	for i := 0; i < s.Proof.Len(); i++ {
@@ -291,13 +289,13 @@ func TestDifferentialPigeonholeWithDeletions(t *testing.T) {
 		}
 	}
 	if deletions == 0 {
-		t.Fatalf("no deletion steps in trace (%d conflicts, %d reduces) — reduce interval did not fire",
+		t.Fatalf("no deletion steps in trace (%d conflicts, %d reduces) — no reduction fired",
 			s.Conflicts, s.Reduces)
 	}
 	ck := replayTrace(t, s.Proof, s.Proof.Len())
 	if err := ck.CheckFinal(nil); err != nil {
 		t.Fatalf("empty clause not RUP after trace with %d deletions: %v", deletions, err)
 	}
-	t.Logf("PHP(6,5): %d conflicts, %d trace steps, %d deletions, refutation verified",
+	t.Logf("PHP(7,6): %d conflicts, %d trace steps, %d deletions, refutation verified",
 		s.Conflicts, s.Proof.Len(), deletions)
 }

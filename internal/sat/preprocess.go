@@ -3,33 +3,20 @@ package sat
 import "time"
 
 // SatELite-style inprocessing (Eén & Biere, SAT 2005): clause subsumption,
-// self-subsuming resolution, vivification, and bounded variable
-// elimination, run before search and again at restart boundaries. Every
-// rewrite is expressed as clause additions and deletions in the DRAT
-// trace, and every addition is a resolvent or a probe-derived shortening —
-// both RUP against the live clause set at the time it is logged — so an
-// inprocessed run certifies exactly like a plain one. The single rewrite
-// with no RUP justification, pure-literal elimination, is automatically
-// disabled while proof logging is on unless ElimUnchecked is set.
-//
-// Subsumption, strengthening, and vivification only add implied clauses
-// and delete redundant ones, so they are sound for incremental instances.
-// Variable elimination rewrites the formula to a merely equisatisfiable
-// one: Solve repairs models through the reconstruction stack, but clauses
-// added after elimination must not mention eliminated variables (AddClause
-// panics) — so elimination is reserved for one-shot instances, with
-// assumption variables protected by Freeze.
+// self-subsuming resolution, and vivification, run before search and
+// again at restart boundaries. Every rewrite is expressed as clause
+// additions and deletions in the DRAT trace, and every addition is a
+// resolvent or a probe-derived shortening — both RUP against the live
+// clause set at the time it is logged — so an inprocessed run certifies
+// exactly like a plain one. The passes only add implied clauses and
+// delete redundant ones, so they are sound for incremental instances.
 
 // Inprocessing bounds. Subsumption scans are capped by subsumer length,
-// vivification by clause length and a propagation budget per pass, and
-// elimination by per-polarity occurrence counts, parent clause length, and
-// zero clause growth (resolvent count must not exceed parent count).
+// vivification by clause length and a propagation budget per pass.
 const (
 	subsumeMaxLen    = 30
 	vivifyMaxLen     = 40
 	vivifyPropBudget = 300_000
-	elimMaxOcc       = 12
-	elimMaxLen       = 20
 	// defaultInprocessMin is the instance size below which no pass runs
 	// (overridable via Solver.InprocessMin): scans over small instances
 	// cost more wall clock than the search time they could save.
@@ -44,27 +31,6 @@ func (s *Solver) inprocMin() int {
 	}
 	return defaultInprocessMin
 }
-
-// elimEntry remembers one eliminated variable and the clauses removed on
-// its behalf, for model reconstruction.
-type elimEntry struct {
-	v       int32
-	clauses [][]Lit
-}
-
-// Freeze marks v as not eliminable by inprocessing. Callers that will use
-// v as an assumption, or add clauses over it after Solve, must freeze it
-// first.
-func (s *Solver) Freeze(v int) {
-	for v >= len(s.frozen) {
-		s.frozen = append(s.frozen, false)
-	}
-	s.frozen[v] = true
-}
-
-func (s *Solver) isFrozen(v int) bool { return v < len(s.frozen) && s.frozen[v] }
-
-func (s *Solver) isEliminated(v int) bool { return v < len(s.eliminated) && s.eliminated[v] }
 
 // shuffle applies the SeedShuffle diversification: a deterministic
 // xorshift stream adds sub-unit activity noise (breaking ties in the
@@ -87,8 +53,8 @@ func (s *Solver) shuffle() {
 
 // removeClause marks c deleted — watchers drop lazily in propagate — and
 // logs the deletion when the stored literals match a logged step (see
-// clause.logged). The object stays in its list so Snapshot still exports
-// the original formula.
+// clause.logged). The object stays in s.clauses, whose positions the
+// subsumption pass indexes.
 func (s *Solver) removeClause(c *clause) {
 	c.deleted = true
 	if c.logged {
@@ -96,21 +62,20 @@ func (s *Solver) removeClause(c *clause) {
 	}
 }
 
-// addDerived installs a derived problem clause — an elimination resolvent
-// or a strengthened/vivified shortening — logging it as a learnt step:
-// every derived clause is RUP against the clauses live when it is added.
-// Root-falsified literals are dropped first (the shrunken clause is RUP
-// whenever the full one is, since the checker holds the same root units);
-// a root-satisfied derivation is skipped entirely. Returns the installed
-// clause, or nil when the result was satisfied, unit, or empty; a unit is
-// enqueued and propagated, and a conflict makes the solver unsatisfiable.
-// Must be called at decision level 0.
-func (s *Solver) addDerived(lits []Lit) *clause {
+// addDerived installs a derived problem clause — a strengthened or
+// vivified shortening — logging it as a learnt step: every derived clause
+// is RUP against the clauses live when it is added. Root-falsified
+// literals are dropped first (the shrunken clause is RUP whenever the
+// full one is, since the checker holds the same root units); a
+// root-satisfied derivation is skipped entirely. A unit is enqueued and
+// propagated, and an empty clause or a conflict makes the solver
+// unsatisfiable. Must be called at decision level 0.
+func (s *Solver) addDerived(lits []Lit) {
 	out := make([]Lit, 0, len(lits))
 	for _, l := range lits {
 		switch s.valueLit(l) {
 		case lTrue:
-			return nil
+			return
 		case lFalse:
 			continue
 		}
@@ -120,18 +85,17 @@ func (s *Solver) addDerived(lits []Lit) *clause {
 	switch len(out) {
 	case 0:
 		s.ok = false
-		return nil
+		return
 	case 1:
 		s.uncheckedEnqueue(out[0], nil)
 		if s.propagate() != nil {
 			s.ok = false
 		}
-		return nil
+		return
 	}
 	c := &clause{lits: out, logged: true}
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
-	return c
 }
 
 // inprocessDue gates the pass that runs at Solve entry: always the first
@@ -151,8 +115,8 @@ func (s *Solver) inprocessDue() bool {
 }
 
 // inprocess runs one simplification round: subsumption and self-
-// subsumption always; budget-bounded vivification and — when enabled —
-// bounded variable elimination in initial (Solve-entry) rounds only.
+// subsumption always; budget-bounded vivification in initial (Solve-entry)
+// rounds only.
 // Restart-boundary rounds stay cheap on purpose: a vivification scan
 // mid-search spends wall clock a query near its deadline cannot spare,
 // while signature-pruned subsumption pays for itself. Returns false when
@@ -164,9 +128,6 @@ func (s *Solver) inprocess(initial bool) bool {
 	s.subsumePass()
 	if s.ok && initial && !s.inprocStopped() {
 		s.vivifyPass()
-	}
-	if s.ok && initial && s.InprocessElim && !s.inprocStopped() {
-		s.elimPass()
 	}
 	s.inprocRuns++
 	s.inprocClauses = len(s.clauses)
@@ -373,208 +334,12 @@ probe:
 	s.removeClause(c)
 }
 
-// elimPass performs bounded variable elimination (the SatELite rewrite):
-// an unfrozen, unassigned variable whose resolvent set is no larger than
-// the clause set it replaces is resolved away. Resolvents are added (each
-// one RUP — its negation makes both parents propagate the pivot in
-// opposite polarities) before the parents are deleted, and the parents
-// are saved on the reconstruction stack so Sat models extend back to the
-// original variable set.
-func (s *Solver) elimPass() {
-	nv := len(s.assigns)
-	for len(s.eliminated) < nv {
-		s.eliminated = append(s.eliminated, false)
-	}
-	occ := make([][]*clause, 2*nv)
-	for _, c := range s.clauses {
-		if c.deleted {
-			continue
-		}
-		for _, l := range c.lits {
-			occ[l] = append(occ[l], c)
-		}
-	}
-	gather := func(ws []*clause) []*clause {
-		out := make([]*clause, 0, len(ws))
-		for _, c := range ws {
-			if !c.deleted {
-				out = append(out, c)
-			}
-		}
-		return out
-	}
-	short := func(cs []*clause) bool {
-		for _, c := range cs {
-			if len(c.lits) > elimMaxLen {
-				return false
-			}
-		}
-		return true
-	}
-	for v := 0; v < nv && s.ok; v++ {
-		if v&63 == 0 && s.inprocStopped() {
-			break
-		}
-		if s.assigns[v] != lUndef || s.eliminated[v] || s.isFrozen(v) {
-			continue
-		}
-		pos := gather(occ[MkLit(v, false)])
-		neg := gather(occ[MkLit(v, true)])
-		if len(pos) == 0 && len(neg) == 0 {
-			continue
-		}
-		if len(pos) == 0 || len(neg) == 0 {
-			// Pure literal: zero resolvents, but the implicit unit that
-			// justifies deleting the clauses is satisfiability-preserving,
-			// not implied — there is no RUP step for it, so with proof
-			// logging on this rewrite needs an explicit opt-in.
-			if s.Proof != nil && !s.ElimUnchecked {
-				continue
-			}
-			s.eliminateVar(v, pos, neg, nil, occ)
-			continue
-		}
-		if len(pos) > elimMaxOcc || len(neg) > elimMaxOcc || !short(pos) || !short(neg) {
-			continue
-		}
-		res, ok := resolveAll(pos, neg, v, len(pos)+len(neg))
-		if !ok {
-			continue
-		}
-		s.eliminateVar(v, pos, neg, res, occ)
-	}
-}
-
-// eliminateVar performs one elimination: resolvents in, parents out,
-// parents saved for reconstruction. New resolvents join the occurrence
-// index so later eliminations see them — missing one would silently drop
-// a constraint and break soundness.
-func (s *Solver) eliminateVar(v int, pos, neg []*clause, res [][]Lit, occ [][]*clause) {
-	saved := make([][]Lit, 0, len(pos)+len(neg))
-	for _, c := range pos {
-		saved = append(saved, append([]Lit(nil), c.lits...))
-	}
-	for _, c := range neg {
-		saved = append(saved, append([]Lit(nil), c.lits...))
-	}
-	for _, r := range res {
-		c := s.addDerived(r)
-		if !s.ok {
-			return
-		}
-		if c != nil {
-			for _, l := range c.lits {
-				occ[l] = append(occ[l], c)
-			}
-		}
-	}
-	for _, c := range pos {
-		s.removeClause(c)
-	}
-	for _, c := range neg {
-		s.removeClause(c)
-	}
-	s.elimStack = append(s.elimStack, elimEntry{v: int32(v), clauses: saved})
-	s.eliminated[v] = true
-	s.Eliminated++
-}
-
-// resolveAll builds the non-tautological resolvents of pos × neg on v,
-// failing when they would outnumber maxRes (the growth bound).
-func resolveAll(pos, neg []*clause, v int, maxRes int) ([][]Lit, bool) {
-	var out [][]Lit
-	for _, cp := range pos {
-		for _, cn := range neg {
-			r, taut := resolve(cp.lits, cn.lits, v)
-			if taut {
-				continue
-			}
-			out = append(out, r)
-			if len(out) > maxRes {
-				return nil, false
-			}
-		}
-	}
-	return out, true
-}
-
-// resolve returns the resolvent of p and n on pivot variable v, deduped,
-// reporting tautology.
-func resolve(p, n []Lit, v int) ([]Lit, bool) {
-	out := make([]Lit, 0, len(p)+len(n)-2)
-	for _, l := range p {
-		if l.Var() != v {
-			out = append(out, l)
-		}
-	}
-	for _, l := range n {
-		if l.Var() == v {
-			continue
-		}
-		dup := false
-		for _, o := range out {
-			if o == l {
-				dup = true
-				break
-			}
-			if o == l.Not() {
-				return nil, true
-			}
-		}
-		if !dup {
-			out = append(out, l)
-		}
-	}
-	return out, false
-}
-
-// reconstructModel extends a satisfying assignment of the post-
-// elimination formula to the original variable set: eliminated variables
-// are assigned in reverse elimination order so every clause removed on
-// their behalf is satisfied (always possible when the resolvents are —
-// the standard SatELite reconstruction invariant). Later-eliminated
-// variables may appear in earlier entries' saved clauses, so the reverse
-// order resolves them first.
-func (s *Solver) reconstructModel() {
-	for i := len(s.elimStack) - 1; i >= 0; i-- {
-		e := s.elimStack[i]
-		val := lFalse
-		for _, cl := range e.clauses {
-			satisfied := false
-			var vl Lit = -1
-			for _, l := range cl {
-				if l.Var() == int(e.v) {
-					vl = l
-					continue
-				}
-				m := s.model[l.Var()]
-				if m < lUndef && m^lbool(l&1) == lTrue {
-					satisfied = true
-					break
-				}
-			}
-			if satisfied || vl == -1 {
-				continue
-			}
-			if vl.Neg() {
-				val = lFalse
-			} else {
-				val = lTrue
-			}
-		}
-		s.model[e.v] = val
-	}
-}
-
 // Snapshot exports the instance's CNF at decision level 0: every root-
-// assigned literal as a unit clause, then every live problem clause,
-// then the parent clauses of every eliminated variable — those are
-// required for model correctness on the importing side, which has no
-// reconstruction stack; clauses deleted by subsumption or vivification
-// are implied by the live set (every deletion happened while the
-// remaining clauses subsumed or covered the deleted one) and are
-// excluded, keeping the export lean — and optionally the live learnt
-// clauses. Learnt clauses are implied, so including them preserves
+// assigned literal as a unit clause, then every live problem clause —
+// clauses deleted by subsumption or vivification are implied by the live
+// set (every deletion happened while the remaining clauses subsumed or
+// covered the deleted one) and are excluded, keeping the export lean —
+// and optionally the live learnt clauses. Learnt clauses are implied, so including them preserves
 // equivalence, but an importer logs everything as input axioms: callers
 // recording proofs must exclude them.
 func (s *Solver) Snapshot(withLearnts bool) (nvars int, clauses [][]Lit) {
@@ -588,11 +353,6 @@ func (s *Solver) Snapshot(withLearnts bool) (nvars int, clauses [][]Lit) {
 	for _, c := range s.clauses {
 		if !c.deleted {
 			out = append(out, append([]Lit(nil), c.lits...))
-		}
-	}
-	for _, e := range s.elimStack {
-		for _, lits := range e.clauses {
-			out = append(out, append([]Lit(nil), lits...))
 		}
 	}
 	if withLearnts {

@@ -2,10 +2,9 @@ package sat_test
 
 // Differential validation of SatELite-style inprocessing (preprocess.go)
 // against brute-force enumeration, mirroring difftest_test.go: every
-// verdict on a random small CNF must survive subsumption, vivification,
-// and bounded variable elimination unchanged; Sat models must satisfy the
-// *original* clauses (exercising model reconstruction through the
-// elimination stack); and every Unsat trace — now containing inprocessing
+// verdict on a random small CNF must survive subsumption, self-
+// subsumption and vivification unchanged; Sat models must satisfy the
+// original clauses; and every Unsat trace — now containing inprocessing
 // adds and deletes — must still replay through the independent RUP
 // checker. Also covers the PR's satellite fixes: per-call PropBudget
 // accounting and cancellation-token polling.
@@ -40,9 +39,9 @@ func checkModel(t *testing.T, iter int, s *sat.Solver, clauses [][]int32) {
 }
 
 // TestDifferentialInprocessed runs the one-shot random-CNF differential
-// suite with full inprocessing (elimination included) and proof logging:
-// verdicts against brute force, reconstructed models against the original
-// clauses, Unsat traces through the RUP checker.
+// suite with inprocessing and proof logging: verdicts against brute
+// force, models against the original clauses, Unsat traces through the
+// RUP checker.
 func TestDifferentialInprocessed(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x1224))
 	for iter := 0; iter < 400; iter++ {
@@ -51,7 +50,6 @@ func TestDifferentialInprocessed(t *testing.T) {
 		s := newLoggedSolver(nvars, clauses)
 		s.Inprocess = true
 		s.InprocessMin = 1
-		s.InprocessElim = true
 		if iter%2 == 1 {
 			s.SeedShuffle = uint64(iter)
 		}
@@ -73,36 +71,9 @@ func TestDifferentialInprocessed(t *testing.T) {
 	}
 }
 
-// TestDifferentialInprocessedUnchecked covers the proof-free
-// configuration where the non-RUP rewrite (pure-literal elimination) is
-// allowed: verdicts and reconstructed models must still be exact.
-func TestDifferentialInprocessedUnchecked(t *testing.T) {
-	rng := rand.New(rand.NewSource(0x2448))
-	for iter := 0; iter < 400; iter++ {
-		nvars := 3 + rng.Intn(6)
-		clauses := randomCNF(rng, nvars)
-		s := newLoggedSolver(nvars, clauses)
-		s.Proof = nil
-		s.Inprocess = true
-		s.InprocessMin = 1
-		s.InprocessElim = true
-		s.ElimUnchecked = true
-		got := s.Solve()
-		want := bruteForce(nvars, clauses, nil)
-		if (got == sat.Sat) != want {
-			t.Fatalf("iter %d: unchecked-elim solver says %v, brute force says sat=%v\ncnf: %v",
-				iter, got, want, clauses)
-		}
-		if got == sat.Sat {
-			checkModel(t, iter, s, clauses)
-		}
-	}
-}
-
 // TestDifferentialInprocessedIncremental mirrors the SMT layer's
 // incremental usage — shared instance, one assumption per query — with
-// inprocessing on (elimination stays off, as in production): verdicts
-// against brute force and per-query certificate obligations at their
+// inprocessing on: verdicts against brute force and per-query certificate obligations at their
 // recorded trace positions.
 func TestDifferentialInprocessedIncremental(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x3663))
@@ -169,8 +140,8 @@ func TestDifferentialInprocessedIncremental(t *testing.T) {
 }
 
 // TestSnapshotEquisatisfiable checks the CNF Snapshot exports after an
-// inprocessed solve (deleted parents included) is satisfiable exactly
-// when the original formula is — the property portfolio racers rely on.
+// inprocessed solve is satisfiable exactly when the original formula is
+// — the property cube workers rely on.
 func TestSnapshotEquisatisfiable(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x55AA))
 	for iter := 0; iter < 120; iter++ {
@@ -180,7 +151,6 @@ func TestSnapshotEquisatisfiable(t *testing.T) {
 		s.Proof = nil
 		s.Inprocess = true
 		s.InprocessMin = 1
-		s.InprocessElim = true
 		got := s.Solve()
 		if got == sat.Unsat && !s.Okay() {
 			continue // no level-0 state worth exporting

@@ -10,7 +10,6 @@ package sat
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -66,7 +65,6 @@ type clause struct {
 	lits    []Lit
 	learnt  bool
 	act     float64
-	lbd     int32 // literal block distance at learning time (LBD mode only)
 	deleted bool
 	// logged records that lits matches a clause step in the proof trace
 	// verbatim (learnt and derived clauses always; input clauses only when
@@ -171,19 +169,6 @@ type Solver struct {
 	// it only adds/deletes implied clauses, so it is sound on incremental
 	// instances too.
 	Inprocess bool
-	// InprocessElim additionally enables bounded variable elimination in
-	// the initial inprocessing pass. Elimination preserves satisfiability
-	// but not equivalence — models are repaired by reconstruction, and
-	// clauses added later may not mention eliminated variables — so it
-	// must only be enabled on one-shot instances. Assumption variables
-	// must be frozen with Freeze. Requires Inprocess.
-	InprocessElim bool
-	// ElimUnchecked permits the elimination rewrite that is not
-	// RUP-checkable (pure-literal elimination: its unit is justified by
-	// satisfiability preservation, not implication, so no trace step can
-	// certify it). Off by default: with Proof != nil only resolution-
-	// based elimination — whose added resolvents are RUP — runs.
-	ElimUnchecked bool
 	// InprocessMin is the minimum problem-clause count before any
 	// inprocessing pass runs (0 = a built-in default, see
 	// defaultInprocessMin). A subsume/vivify scan over a tiny instance
@@ -193,21 +178,6 @@ type Solver struct {
 	// clauses) still get the full treatment. Tests lower it to exercise
 	// the passes on small formulas.
 	InprocessMin int
-
-	// LBD enables Glucose-style learned-clause database management: each
-	// learnt clause is tagged with its literal block distance (number of
-	// distinct decision levels among its literals), clauses touched during
-	// conflict analysis are bumped and their LBD refreshed downward, and
-	// the database is reduced periodically at restart boundaries keeping
-	// the glue set (LBD ≤ 2), binary, and locked clauses. This is what
-	// keeps a long-lived incremental instance from drowning in stale
-	// learnt clauses over thousands of queries. Off by default so the
-	// zero-value solver reproduces the legacy activity-threshold policy
-	// bit for bit.
-	LBD bool
-	// ReduceInterval is the conflict gap between LBD database reductions
-	// (0 = default 2000). The gap grows by 300 per reduction performed.
-	ReduceInterval int64
 
 	// Proof, when non-nil, receives a DRAT-style trace of the run: input
 	// clauses, learnt clauses, and database deletions (see proof.go).
@@ -219,21 +189,13 @@ type Solver struct {
 	Decisions    int64
 	Propagations int64
 	Restarts     int64
-	Reduces      int64 // LBD database reductions performed
-	Removed      int64 // learnt clauses deleted by LBD reductions
+	Reduces      int64 // learnt-clause database reductions performed
+	Removed      int64 // learnt clauses deleted by reductions
 	Subsumed     int64 // clauses deleted as subsumed or root-satisfied
 	Strengthened int64 // clauses shortened by self-subsuming resolution
 	Vivified     int64 // clauses shortened by vivification
-	Eliminated   int64 // variables removed by bounded variable elimination
-
-	lbdSeen    []int64 // per-level stamp array for computeLBD
-	lbdStamp   int64
-	nextReduce int64
 
 	// inprocessing state (see preprocess.go)
-	frozen        []bool
-	eliminated    []bool
-	elimStack     []elimEntry
 	shuffled      bool
 	inprocRuns    int64
 	inprocClauses int
@@ -263,11 +225,6 @@ func (s *Solver) NumClauses() int { return len(s.clauses) }
 // NewVar allocates a fresh variable and returns its index.
 func (s *Solver) NewVar() int {
 	v := len(s.assigns)
-	// Decision levels range 0..NumVars, so lbdSeen needs NumVars+1 slots.
-	if len(s.lbdSeen) == 0 {
-		s.lbdSeen = append(s.lbdSeen, 0)
-	}
-	s.lbdSeen = append(s.lbdSeen, 0)
 	s.assigns = append(s.assigns, lUndef)
 	s.level = append(s.level, 0)
 	s.reason = append(s.reason, nil)
@@ -311,13 +268,6 @@ func (s *Solver) addClause(lits []Lit, learnt bool) bool {
 	}
 	if s.decisionLevel() != 0 {
 		panic("sat: AddClause above decision level 0")
-	}
-	if len(s.elimStack) > 0 {
-		for _, l := range lits {
-			if s.isEliminated(l.Var()) {
-				panic("sat: clause mentions eliminated variable (Freeze it before Solve)")
-			}
-		}
 	}
 	// Log the clause as given: the proof checker replays the original
 	// formula, so normalization below must not be reflected in the trace.
@@ -463,15 +413,6 @@ func (s *Solver) analyze(confl *clause) ([]Lit, int) {
 	idx := len(s.trail) - 1
 
 	for {
-		if s.LBD && confl.learnt {
-			// Reward clauses that keep participating in conflicts and let
-			// their LBD improve: a clause that has become glue is worth
-			// keeping regardless of the level pattern it was learnt at.
-			s.bumpClause(confl)
-			if nl := s.computeLBD(confl.lits); nl < confl.lbd {
-				confl.lbd = nl
-			}
-		}
 		for _, q := range confl.lits {
 			if p != -1 && q == p {
 				continue
@@ -598,94 +539,21 @@ func (s *Solver) pickBranchLit() Lit {
 		if !ok {
 			return -1
 		}
-		if s.assigns[v] == lUndef && !s.isEliminated(v) {
+		if s.assigns[v] == lUndef {
 			s.Decisions++
 			return MkLit(v, s.polarity[v])
 		}
 	}
 }
 
-// computeLBD returns the literal block distance of lits: the number of
-// distinct non-root decision levels among them. Must be called while the
-// literals' levels are current (before backtracking past them).
-func (s *Solver) computeLBD(lits []Lit) int32 {
-	s.lbdStamp++
-	var n int32
-	for _, l := range lits {
-		lv := s.level[l.Var()]
-		if lv == 0 {
-			continue
-		}
-		if s.lbdSeen[lv] != s.lbdStamp {
-			s.lbdSeen[lv] = s.lbdStamp
-			n++
-		}
-	}
-	return n
-}
-
-// reduceDBLBD is the LBD-mode database reduction: glue clauses (LBD ≤ 2),
-// binary clauses, and locked clauses are kept unconditionally; of the
-// rest, the worse half — highest LBD first, lowest activity as tiebreak —
-// is deleted. Deleted clauses are detached lazily by propagate.
-func (s *Solver) reduceDBLBD() {
-	var removable []*clause
-	for _, c := range s.learnts {
-		if len(c.lits) <= 2 || c.lbd <= 2 || s.locked(c) {
-			continue
-		}
-		removable = append(removable, c)
-	}
-	if len(removable) < 2 {
-		return
-	}
-	sort.Slice(removable, func(i, j int) bool {
-		if removable[i].lbd != removable[j].lbd {
-			return removable[i].lbd > removable[j].lbd
-		}
-		return removable[i].act < removable[j].act
-	})
-	for _, c := range removable[:len(removable)/2] {
-		c.deleted = true
-		s.Removed++
-		s.logDelete(c.lits)
-	}
-	kept := s.learnts[:0]
-	for _, c := range s.learnts {
-		if !c.deleted {
-			kept = append(kept, c)
-		}
-	}
-	s.learnts = kept
-	s.Reduces++
-}
-
-// maybeReduceLBD runs the periodic LBD reduction schedule; called at
-// restart boundaries (decision level 0), mirroring Glucose: reduce every
-// ReduceInterval conflicts, with the interval stretching by 300 per
-// reduction so a long-lived incremental instance settles into a steady
-// clause budget instead of thrashing.
-func (s *Solver) maybeReduceLBD() {
-	interval := s.ReduceInterval
-	if interval <= 0 {
-		interval = 2000
-	}
-	if s.nextReduce == 0 {
-		s.nextReduce = interval
-	}
-	if s.Conflicts >= s.nextReduce {
-		s.reduceDBLBD()
-		s.nextReduce = s.Conflicts + interval + 300*s.Reduces
-	}
-}
-
-// reduceDB removes half of the learnt clauses with lowest activity.
+// reduceDB deletes the learnt clauses of below-mean activity, sparing
+// binary and locked clauses. Deleted clauses are detached lazily by
+// propagate.
 func (s *Solver) reduceDB() {
 	if len(s.learnts) < 2 {
 		return
 	}
-	// Partial selection: find median activity by sampling (simple full sort
-	// avoided; use nth-element style two-pass threshold).
+	s.Reduces++
 	sum := 0.0
 	for _, c := range s.learnts {
 		sum += c.act
@@ -695,6 +563,7 @@ func (s *Solver) reduceDB() {
 	for _, c := range s.learnts {
 		if len(c.lits) > 2 && c.act < threshold && !s.locked(c) {
 			c.deleted = true
+			s.Removed++
 			s.logDelete(c.lits)
 		} else {
 			kept = append(kept, c)
@@ -730,11 +599,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 	}
 	s.model = nil
 	defer s.cancelUntil(0)
-	for _, a := range assumptions {
-		if s.isEliminated(a.Var()) {
-			panic("sat: assumption on eliminated variable (Freeze it before Solve)")
-		}
-	}
 
 	if s.SeedShuffle != 0 && !s.shuffled {
 		s.shuffle()
@@ -765,7 +629,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		if st == Sat {
 			s.model = make([]lbool, len(s.assigns))
 			copy(s.model, s.assigns)
-			s.reconstructModel()
 			return Sat
 		}
 		if st == Unsat {
@@ -786,9 +649,6 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 		}
 		s.Restarts++
 		s.cancelUntil(0)
-		if s.LBD {
-			s.maybeReduceLBD()
-		}
 		if s.Inprocess && s.Conflicts >= s.nextInproc && len(s.clauses) >= s.inprocMin() {
 			if !s.inprocess(false) {
 				return Unsat
@@ -826,16 +686,11 @@ func (s *Solver) search(conflBudget int64, assumptions []Lit, maxLearnts *float6
 			}
 			learnt, btLevel := s.analyze(confl)
 			s.logLearnt(learnt)
-			var lbd int32
-			if s.LBD {
-				// Levels are only valid before backtracking.
-				lbd = s.computeLBD(learnt)
-			}
 			s.cancelUntil(btLevel)
 			if len(learnt) == 1 {
 				s.uncheckedEnqueue(learnt[0], nil)
 			} else {
-				c := &clause{lits: learnt, learnt: true, lbd: lbd, logged: true}
+				c := &clause{lits: learnt, learnt: true, logged: true}
 				s.learnts = append(s.learnts, c)
 				s.attach(c)
 				s.bumpClause(c)
@@ -848,9 +703,7 @@ func (s *Solver) search(conflBudget int64, assumptions []Lit, maxLearnts *float6
 		if conflicts >= conflBudget {
 			return Unknown
 		}
-		// LBD mode reduces at restart boundaries (see Solve); the in-search
-		// activity-threshold policy is the legacy fallback.
-		if !s.LBD && float64(len(s.learnts)) > *maxLearnts+float64(len(s.trail)) {
+		if float64(len(s.learnts)) > *maxLearnts+float64(len(s.trail)) {
 			s.reduceDB()
 			*maxLearnts *= 1.1
 		}

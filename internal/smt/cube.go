@@ -23,8 +23,8 @@ import (
 // code enters the trust base.
 
 // solveCubed splits the primary's instance and conquers the cubes.
-// budget bounds each worker's total conflicts (0 = unlimited); used
-// reports what all workers together spent, for the caller to charge
+// budget bounds the conflicts all workers together spend (0 =
+// unlimited); used reports what they spent, for the caller to charge
 // against the query's budget. Returns ran=false when the instance was
 // not worth splitting — refuted by unit propagation or lookahead alone,
 // or with fewer than two live leaves — in which case the caller falls
@@ -80,6 +80,7 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 
 	cancel := &sat.Stop{}
 	var done int64 // cubes resolved across all workers, for the pace check
+	pool := newConflictPool(budget, workers)
 	type workerResult struct {
 		solver  *sat.Solver
 		trace   sat.CubeTrace
@@ -97,7 +98,6 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 			r := &results[w]
 			r.sat = -1
 			solver := sat.New()
-			solver.LBD = true
 			// Cube workers never inprocess: the snapshot already carries
 			// the primary's simplification, and a cube's edge is the
 			// shrunken search space, not rediscovered rewrites.
@@ -118,13 +118,8 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 			}
 			r.solver = solver
 			r.trace.Log = solver.Proof
-			remaining := budget
 			start := time.Now()
 			for idx := range queue {
-				if budget > 0 && remaining <= 0 {
-					r.unknown = true
-					return
-				}
 				if !solver.Deadline.IsZero() && r.drained >= 2 {
 					// Pace check: an all-cubes-unsat win needs every cube
 					// refuted before the deadline. If this worker's share of
@@ -141,11 +136,12 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 						return
 					}
 				}
-				solver.ConflictBudget = remaining
-				before := solver.Conflicts
-				st := solver.Solve(cs.Cubes[idx]...)
-				remaining -= solver.Conflicts - before
+				st, decided := pool.solve(solver, cs.Cubes[idx])
 				r.drained++
+				if !decided {
+					r.unknown = true
+					return
+				}
 				switch st {
 				case sat.Sat:
 					r.sat = idx
@@ -158,9 +154,6 @@ func (s *Solver) solveCubed(primary *sat.Solver, budget int64, assumps ...sat.Li
 						r.trace.Cubes = append(r.trace.Cubes, cs.Cubes[idx])
 						r.trace.Marks = append(r.trace.Marks, solver.Proof.Len())
 					}
-				default:
-					r.unknown = true
-					return
 				}
 			}
 		}(w)
@@ -292,4 +285,73 @@ func (s *Solver) conquerInPlace(primary *sat.Solver, cs *sat.CubeSet, budget int
 	}
 	s.Metrics.Add("cube.unknown", 1)
 	return sat.Unknown, primary
+}
+
+// conflictPool is the conflict budget of one stolen-slot conquest, shared
+// by all its workers. Before each Solve a worker reserves a fair share of
+// what is left and afterwards gives back what it did not spend, so the
+// workers together spend at most the budget plus one restart segment's
+// overshoot each (sat.Solver polls its budget at restart boundaries).
+type conflictPool struct {
+	left    atomic.Int64
+	limited bool
+	workers int64
+}
+
+func newConflictPool(budget int64, workers int) *conflictPool {
+	p := &conflictPool{limited: budget > 0, workers: int64(workers)}
+	p.left.Store(budget)
+	return p
+}
+
+// minConflictGrant keeps the last reservations of a nearly drained pool
+// from degenerating into Solve calls that restart after a few conflicts.
+const minConflictGrant = 100
+
+// reserve takes a share of what is left: 1/workers of it, but at least
+// minConflictGrant, and never more than is left. Zero means the pool is
+// drained.
+func (p *conflictPool) reserve() int64 {
+	for {
+		left := p.left.Load()
+		if left <= 0 {
+			return 0
+		}
+		grant := min(left, max(left/p.workers, minConflictGrant))
+		if p.left.CompareAndSwap(left, left-grant) {
+			return grant
+		}
+	}
+}
+
+// solve decides cube on solver within the pool. A Solve that runs out of
+// its reservation is resumed under a fresh one (the solver keeps its
+// learnt clauses) until the pool is drained. decided is false when the
+// cube was left undecided: the pool ran dry, the deadline passed, or the
+// conquest was cancelled.
+func (p *conflictPool) solve(solver *sat.Solver, cube []sat.Lit) (st sat.Status, decided bool) {
+	if !p.limited {
+		solver.ConflictBudget = 0
+		st = solver.Solve(cube...)
+		return st, st != sat.Unknown
+	}
+	for {
+		grant := p.reserve()
+		if grant == 0 {
+			return sat.Unknown, false
+		}
+		solver.ConflictBudget = grant
+		before := solver.Conflicts
+		st = solver.Solve(cube...)
+		spent := solver.Conflicts - before
+		p.left.Add(grant - spent)
+		if st != sat.Unknown {
+			return st, true
+		}
+		if spent < grant || solver.Cancel.Stopped() ||
+			(!solver.Deadline.IsZero() && time.Now().After(solver.Deadline)) {
+			// Stopped by the deadline or a cancellation, not the budget.
+			return sat.Unknown, false
+		}
+	}
 }

@@ -293,3 +293,39 @@ func TestLadderChargesCubeConflicts(t *testing.T) {
 		})
 	}
 }
+
+// TestLadderChargesStolenCubeConflicts is the idle-slot twin of
+// TestLadderChargesCubeConflicts: with free slots the conquest runs on
+// stolen workers, which draw from one shared pool of what the probes
+// left. Together they may overshoot it by one restart segment each, no
+// more; each taking the whole remainder let the query spend about
+// workers times its budget.
+func TestLadderChargesStolenCubeConflicts(t *testing.T) {
+	const budget = 5000
+	const workers = 1 + maxSteals
+	for _, incremental := range []bool{false, true} {
+		t.Run(fmt.Sprintf("incremental=%v", incremental), func(t *testing.T) {
+			ctx := NewContext()
+			s := NewSolver(ctx)
+			s.Portfolio = NewPortfolio(maxSteals)
+			s.Portfolio.After = 1
+			s.Portfolio.CubeAfter = 1
+			s.Incremental = incremental
+			s.ConflictBudget = budget
+			res, _, err := s.CheckSat(distinctUnder(ctx, "h", 12, 4, 11))
+			if res != ResultUnknown || err != ErrBudget {
+				t.Fatalf("got (%v, %v), want (Unknown, ErrBudget)", res, err)
+			}
+			if s.Stats.CubeSteals == 0 {
+				t.Fatal("no cube was conquered on a stolen slot")
+			}
+			limit := budget + workers*restartOvershoot(budget)
+			if s.Stats.SATConflicts > limit {
+				t.Fatalf("query spent %d conflicts under a budget of %d (limit %d with one restart segment's overshoot per worker)",
+					s.Stats.SATConflicts, budget, limit)
+			}
+			t.Logf("conflicts=%d limit=%d escalations=%d steals=%d refuted=%d",
+				s.Stats.SATConflicts, limit, s.Stats.CubeEscalations, s.Stats.CubeSteals, s.Stats.CubesRefuted)
+		})
+	}
+}

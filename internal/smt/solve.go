@@ -54,7 +54,6 @@ type Stats struct {
 	SubsumedClauses     int64 // clauses deleted as subsumed or root-satisfied
 	StrengthenedClauses int64 // clauses shortened by self-subsuming resolution
 	VivifiedClauses     int64 // clauses shortened by vivification probes
-	EliminatedVars      int64 // variables removed by bounded elimination
 
 	// Counters of the deleted portfolio race: always 0; kept only so the
 	// benchmark module builds.
@@ -89,7 +88,6 @@ func (s *Stats) Add(o Stats) {
 	s.SubsumedClauses += o.SubsumedClauses
 	s.StrengthenedClauses += o.StrengthenedClauses
 	s.VivifiedClauses += o.VivifiedClauses
-	s.EliminatedVars += o.EliminatedVars
 	s.Races += o.Races
 	s.RaceRacerWins += o.RaceRacerWins
 	s.RaceWastedConflicts += o.RaceWastedConflicts
@@ -130,15 +128,10 @@ type Solver struct {
 	// layer. A Sat hit returns a nil model (the cache stores verdicts
 	// only); callers that need counterexample models must run uncached.
 	Cache *Cache
-	// DisableClauseDB turns off the LBD-based learned-clause database
-	// reduction in the underlying SAT instances, reverting to the legacy
-	// activity-threshold policy (ablation; see sat.Solver.LBD).
-	DisableClauseDB bool
 	// Inprocess enables SatELite-style inprocessing in the SAT instances
-	// (subsumption, self-subsumption, vivification, and — for one-shot
-	// instances — bounded variable elimination). Certification is
-	// preserved: every rewrite is logged into the DRAT trace, and the one
-	// non-RUP rewrite is auto-disabled while a Recorder is attached.
+	// (subsumption, self-subsumption and vivification). Certification is
+	// preserved: every rewrite is logged into the DRAT trace as a
+	// RUP-checkable step.
 	Inprocess bool
 	// Portfolio, when non-nil, turns on the escalation ladder: a query
 	// that outlives its solo probes is split by cube-and-conquer, whose
@@ -353,13 +346,9 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 	}
 
 	solver := sat.New()
-	solver.LBD = !s.DisableClauseDB
 	solver.ConflictBudget = s.ConflictBudget
 	solver.Deadline = s.Deadline
-	// One-shot instance: no assumptions and no later clauses, so full
-	// inprocessing including variable elimination is safe.
 	solver.Inprocess = s.Inprocess
-	solver.InprocessElim = s.Inprocess
 	// The proof log must be attached before the blaster exists: its
 	// constructor already asserts the constant-true unit clause.
 	var sess *proof.Session
@@ -383,7 +372,6 @@ func (s *Solver) checkSatSolve(f *Term, keyHex string) (Result, *Assign, error) 
 	s.Stats.SubsumedClauses += solver.Subsumed
 	s.Stats.StrengthenedClauses += solver.Strengthened
 	s.Stats.VivifiedClauses += solver.Vivified
-	s.Stats.EliminatedVars += solver.Eliminated
 	switch st {
 	case sat.Unsat:
 		if sess != nil {
@@ -420,11 +408,6 @@ func (s *Solver) pastDeadline() bool {
 func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, error) {
 	if s.incSAT == nil {
 		s.incSAT = sat.New()
-		s.incSAT.LBD = !s.DisableClauseDB
-		// The persistent instance sees new clauses and assumption
-		// variables on every query, so it gets the implication-only
-		// inprocessing rewrites; variable elimination stays off
-		// (InprocessElim false).
 		s.incSAT.Inprocess = s.Inprocess
 		if s.Recorder != nil {
 			// One session for the whole solver lifetime: the trace grows
@@ -448,7 +431,7 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 	decBefore := s.incSAT.Decisions
 	clausesBefore := int64(s.incSAT.NumClauses())
 	subBefore, strBefore := s.incSAT.Subsumed, s.incSAT.Strengthened
-	vivBefore, elimBefore := s.incSAT.Vivified, s.incSAT.Eliminated
+	vivBefore := s.incSAT.Vivified
 	defer func() {
 		s.Stats.SATConflicts += s.incSAT.Conflicts - confBefore
 		s.Stats.SATDecisions += s.incSAT.Decisions - decBefore
@@ -456,7 +439,6 @@ func (s *Solver) checkSatIncremental(f *Term, keyHex string) (Result, *Assign, e
 		s.Stats.SubsumedClauses += s.incSAT.Subsumed - subBefore
 		s.Stats.StrengthenedClauses += s.incSAT.Strengthened - strBefore
 		s.Stats.VivifiedClauses += s.incSAT.Vivified - vivBefore
-		s.Stats.EliminatedVars += s.incSAT.Eliminated - elimBefore
 	}()
 	g, cons, err := s.incReducer.reduce(f)
 	if err != nil {

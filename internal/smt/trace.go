@@ -31,9 +31,6 @@ func (s *Solver) finishQuery(sp *telemetry.Span, start time.Time, before Stats, 
 	if n := s.Stats.VivifiedClauses - before.VivifiedClauses; n > 0 {
 		s.Metrics.Add("inprocess.vivified", n)
 	}
-	if n := s.Stats.EliminatedVars - before.EliminatedVars; n > 0 {
-		s.Metrics.Add("inprocess.eliminated", n)
-	}
 	reused := s.Stats.ModelReuses > before.ModelReuses
 	if reused {
 		s.Metrics.Add("smt.model_reuse", 1)

@@ -186,7 +186,6 @@ func mergeStats(dst, src *harness.StatsJSON) {
 	a.SubsumedClauses += b.SubsumedClauses
 	a.StrengthenedClauses += b.StrengthenedClauses
 	a.VivifiedClauses += b.VivifiedClauses
-	a.EliminatedVars += b.EliminatedVars
 	a.Races += b.Races
 	a.RaceRacerWins += b.RaceRacerWins
 	a.RaceWastedConflicts += b.RaceWastedConflicts

@@ -221,16 +221,23 @@ func TestDaemonBackgroundScrub(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Quarantine renames the entry into quarantine/ before it bumps the
+	// counter, so wait until both show the quarantine has finished.
 	deadline := time.Now().Add(10 * time.Second)
-	for s.store.QuarantineLen() == 0 {
+	var snap *MetricsSnapshot
+	for {
+		if s.store.QuarantineLen() > 0 {
+			if snap, err = c.Metricsz(); err != nil {
+				t.Fatal(err)
+			}
+			if snap.Counters["store.scrub.quarantined"] > 0 {
+				break
+			}
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("background scrubber never quarantined the tampered entry")
 		}
 		time.Sleep(2 * time.Millisecond)
-	}
-	snap, err := c.Metricsz()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if snap.StoreQuarantined != 1 || snap.Counters["store.scrub.quarantined"] != 1 {
 		t.Fatalf("scrub metrics: gauge=%d counter=%d", snap.StoreQuarantined, snap.Counters["store.scrub.quarantined"])

@@ -52,7 +52,6 @@ func (r *BatchResult) Summary() *harness.Summary {
 			SubsumedClauses:     s.SMT.SubsumedClauses,
 			StrengthenedClauses: s.SMT.StrengthenedClauses,
 			VivifiedClauses:     s.SMT.VivifiedClauses,
-			EliminatedVars:      s.SMT.EliminatedVars,
 
 			Races:               s.SMT.Races,
 			RaceRacerWins:       s.SMT.RaceRacerWins,
